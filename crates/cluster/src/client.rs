@@ -59,9 +59,7 @@ impl SmartClient {
         let mut guard = self.trace.mint(name);
         let result = f();
         if result.is_err() {
-            if let Some(g) = guard.as_mut() {
-                g.fail();
-            }
+            guard.fail();
         }
         result
     }

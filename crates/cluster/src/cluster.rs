@@ -724,11 +724,10 @@ impl Cluster {
     }
 
     /// Freeze every registry in the cluster into one typed snapshot:
-    /// per node, per service, per bucket, per vBucket — plus the slow-op
-    /// rings of every service, span trees included.
+    /// per node, per service, per bucket, per vBucket — plus the trace
+    /// store's slow or failed traces, span trees included.
     pub fn stats(&self) -> crate::stats::ClusterStats {
         let buckets = self.buckets();
-        let mut slow_ops = Vec::new();
         let mut nodes = Vec::new();
         for node in self.nodes() {
             let mut bucket_stats = Vec::new();
@@ -741,12 +740,10 @@ impl Cluster {
                             metrics: engine.registry().snapshot(),
                             vbuckets: engine.vbucket_stats(),
                         });
-                        slow_ops.extend(engine.registry().slow_ops());
                     }
                 }
                 if let Ok(mgr) = node.index_manager() {
                     service_metrics.push(mgr.registry().snapshot());
-                    slow_ops.extend(mgr.registry().slow_ops());
                 }
             }
             nodes.push(crate::stats::NodeStats {
@@ -757,11 +754,8 @@ impl Cluster {
                 service_metrics,
             });
         }
-        let mut cluster_services = Vec::new();
-        for registry in [&self.inner.query_registry, self.inner.fts.registry()] {
-            cluster_services.push(registry.snapshot());
-            slow_ops.extend(registry.slow_ops());
-        }
+        let mut cluster_services =
+            vec![self.inner.query_registry.snapshot(), self.inner.fts.registry().snapshot()];
         // Replication-lag surfaces: each bucket's `cluster.replication.*`
         // registry joins the cluster services, and the live per-(vBucket,
         // replica) rows ride along for `system:replication`.
@@ -773,7 +767,7 @@ impl Cluster {
         crate::stats::ClusterStats {
             nodes,
             cluster_services,
-            slow_ops,
+            slow_ops: self.inner.trace_store.slow_traces(),
             completed_requests: self.inner.request_log.completed_rows(),
             active_requests: self.inner.request_log.active_rows(),
             prepareds: self.inner.plan_cache.prepared_rows(),
@@ -811,26 +805,12 @@ impl Cluster {
         evs
     }
 
-    /// Set the slow-op capture threshold on every registry in the cluster
-    /// (`Duration::ZERO` captures every traced operation).
+    /// Set the cluster's one slow threshold (`Duration::ZERO` makes every
+    /// operation slow): traces at least this long are retained and listed
+    /// in `stats().slow_ops`, and requests at least this long enter
+    /// `system:completed_requests`.
     pub fn set_slow_threshold(&self, threshold: Duration) {
-        for node in self.nodes() {
-            for bucket in self.buckets() {
-                if let Ok(engine) = node.engine(&bucket) {
-                    engine.registry().set_slow_threshold(threshold);
-                }
-            }
-            if let Ok(mgr) = node.index_manager() {
-                mgr.registry().set_slow_threshold(threshold);
-            }
-        }
-        self.inner.query_registry.set_slow_threshold(threshold);
-        self.inner.fts.registry().set_slow_threshold(threshold);
-        // Keep the request log's admission threshold in step so "slow"
-        // means the same thing in the slow-op ring and the completed ring.
         self.inner.request_log.set_threshold(threshold);
-        // And the causal trace store's retention bar: "slow" traces survive
-        // ring eviction under the same definition.
         self.inner.trace_store.set_slow_threshold(threshold);
     }
 }

@@ -92,18 +92,17 @@ impl ClusterDatastore {
         }
         self.requests.inc();
         let _timer = self.latency.timer();
-        let _trace = self.cluster.query_registry().trace("n1ql.query.execute");
-        // Causal root on the query lane: KV fetches/mutations issued by the
-        // executor (through the smart clients) join as child spans.
-        let mut causal = self.query_trace.mint("n1ql.query.request");
+        // Root span on the query lane: the request's parse/plan/exec spans
+        // and the KV fetches/mutations the executor issues (through the
+        // smart clients) join it; `cbs_n1ql::query` reads its phases back
+        // out of the same buffer.
+        let mut trace = self.query_trace.mint("n1ql.query.execute");
         let result = cbs_n1ql::query(self, statement, opts);
         match &result {
             Ok(r) => self.record_phases(&r.phases),
             Err(_) => {
                 self.errors.inc();
-                if let Some(g) = causal.as_mut() {
-                    g.fail();
-                }
+                trace.fail();
             }
         }
         result
@@ -258,8 +257,9 @@ impl Datastore for ClusterDatastore {
         })
     }
 
-    /// The `system:` catalog keyspaces, backed live by cluster state — the
-    /// Query Catalog of §4.3.5 exposed through N1QL itself.
+    /// The `system:` catalog keyspaces ([`cbs_n1ql::SYSTEM_KEYSPACES`]),
+    /// backed live by cluster state — the Query Catalog of §4.3.5 exposed
+    /// through N1QL itself.
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
         match keyspace {
             "system:completed_requests" => Ok(self.cluster.request_log().completed_rows()),

@@ -439,3 +439,14 @@ fn auto_failover_detects_and_promotes() {
         cluster.map("default").unwrap().active_vbs(NodeId(2)).is_empty()
     }));
 }
+
+#[test]
+fn cluster_datastore_serves_every_system_keyspace() {
+    let cluster = small_cluster(2, 1);
+    let ds = ClusterDatastore::new(Arc::clone(&cluster));
+    for name in cbs_n1ql::SYSTEM_KEYSPACES {
+        ds.query(&format!("SELECT * FROM {name}"), &QueryOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    assert!(ds.query("SELECT * FROM system:bogus", &QueryOptions::default()).is_err());
+}

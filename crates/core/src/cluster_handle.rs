@@ -49,8 +49,9 @@ impl CouchbaseCluster {
         self.cluster.stats()
     }
 
-    /// Capture every traced operation at least this slow in the slow-op
-    /// log (`Duration::ZERO` captures everything).
+    /// Set the cluster's slow threshold: traced operations at least this
+    /// slow enter the slow-op log and slow requests the completed-request
+    /// log (`Duration::ZERO` keeps everything).
     pub fn set_slow_threshold(&self, threshold: std::time::Duration) {
         self.cluster.set_slow_threshold(threshold);
     }

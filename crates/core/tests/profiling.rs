@@ -196,3 +196,49 @@ fn phase_histograms_and_help_reach_prometheus() {
     assert!(prom.contains("# TYPE cbs_n1ql_phase_index_scan summary"));
     assert!(prom.contains("# HELP cbs_n1ql_query_latency "));
 }
+
+#[test]
+fn unsampled_queries_still_report_phases_but_publish_nothing() {
+    let cluster = seeded_cluster(200);
+    let store = cluster.inner().trace_store();
+    store.set_sample_every(u64::MAX);
+    let unsampled = || store.registry().snapshot().counter("obs.trace.unsampled");
+    let before = (unsampled(), store.completed_traces().len());
+    let res = cluster
+        .query("SELECT name FROM default WHERE age >= 30", &QueryOptions::default().request_plus())
+        .unwrap();
+    assert!(!res.rows.is_empty());
+    assert!(res.phases.plan > Duration::ZERO, "plan phase from the local buffer");
+    assert!(res.phases.index_scan > Duration::ZERO, "index-scan phase from the local buffer");
+    assert!(res.phases.fetch > Duration::ZERO, "fetch phase from the local buffer");
+    assert!(unsampled() > before.0, "the query's root was not sampled");
+    assert_eq!(store.completed_traces().len(), before.1, "no trace was published");
+}
+
+#[test]
+fn slow_queries_reach_the_slow_op_log_as_span_trees() {
+    let cluster = seeded_cluster(50);
+    cluster.inner().trace_store().set_sample_every(1);
+    cluster.set_slow_threshold(Duration::ZERO);
+    cluster
+        .query("SELECT name FROM default WHERE age >= 30", &QueryOptions::default().request_plus())
+        .unwrap();
+    let slow = cluster.stats().slow_ops;
+    let t = slow
+        .iter()
+        .rev()
+        .find(|t| t.root_name == "n1ql.query.execute")
+        .expect("query trace in the slow-op log");
+    for (span, path) in [
+        ("n1ql.query.parse", vec!["n1ql.query.execute", "n1ql.query.parse"]),
+        ("n1ql.query.plan", vec!["n1ql.query.execute", "n1ql.query.plan"]),
+        (
+            "n1ql.exec.index_scan",
+            vec!["n1ql.query.execute", "n1ql.exec.run", "n1ql.exec.index_scan"],
+        ),
+    ] {
+        let s = t.span(span).unwrap_or_else(|| panic!("{span} missing:\n{}", t.render()));
+        assert_eq!(t.path_to_root(s).expect("intact parent links"), path);
+    }
+    assert!(t.render().contains("  n1ql.query.plan"), "{}", t.render());
+}

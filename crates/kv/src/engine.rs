@@ -343,10 +343,6 @@ impl DataEngine {
 
     /// Read a document by key.
     pub fn get(&self, key: &str) -> Result<GetResult> {
-        // Service-entry trace: standalone gets become slow-op candidates;
-        // gets issued inside a query nest under the request's span tree,
-        // where the profiler attributes them to the fetch phase.
-        let _trace = self.registry.trace("kv.engine.get");
         let vb = self.vb_for_key(key);
         let start = Instant::now();
         let result = self.get_in_vb(vb, key);
@@ -416,11 +412,10 @@ impl DataEngine {
     ) -> Result<MutationResult> {
         // One shared allocation serves the cache, the DCP item, and every
         // subscriber — the zero-copy write path.
-        let _trace = self.registry.trace("kv.engine.set");
-        // Causal child span under the caller's ambient context (None when
-        // the op is untraced — the common case costs one TLS read).
-        let causal = self.cfg.trace.as_ref().and_then(|s| s.child("kv.engine.set"));
-        let ctx = causal.as_ref().map(|g| g.ctx());
+        // Child span under the caller's innermost open span (inert when
+        // the op is untraced — that case costs one TLS read).
+        let causal = self.cfg.trace.as_ref().map(|s| s.child("kv.engine.set"));
+        let ctx = causal.as_ref().and_then(|g| g.ctx());
         let start = Instant::now();
         let value: SharedValue = value.into();
         let vb = self.vb_for_key(key);
@@ -465,8 +460,8 @@ impl DataEngine {
 
     /// Delete a document (CAS-checked like [`DataEngine::set`]).
     pub fn delete(&self, key: &str, cas_check: Cas) -> Result<MutationResult> {
-        let causal = self.cfg.trace.as_ref().and_then(|s| s.child("kv.engine.delete"));
-        let ctx = causal.as_ref().map(|g| g.ctx());
+        let causal = self.cfg.trace.as_ref().map(|s| s.child("kv.engine.delete"));
+        let ctx = causal.as_ref().and_then(|g| g.ctx());
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
@@ -588,7 +583,6 @@ impl DataEngine {
     /// Apply a replicated mutation to a `Replica`/`Pending` vBucket,
     /// preserving the active copy's metadata (seqno, CAS, rev).
     pub fn apply_replica(&self, item: &DcpItem) -> Result<()> {
-        let _s = span("kv.engine.apply_replica");
         // Stitch onto the originating client op's trace: prefer the
         // delivering thread's ambient span (the pump's
         // `cluster.replication.deliver` guard) so the apply nests under
@@ -598,7 +592,7 @@ impl DataEngine {
             (Some(ctx), Some(sink)) => Some(sink.child_of(ctx, "kv.engine.replica_apply")),
             _ => None,
         };
-        let ctx = causal.as_ref().map(|g| g.ctx());
+        let ctx = causal.as_ref().and_then(|g| g.ctx());
         let vb = item.vb;
         let meta = self.vbs[vb.index()].lock();
         if !matches!(meta.state, VbState::Replica | VbState::Pending) {
@@ -791,11 +785,6 @@ impl DataEngine {
     /// The per-vBucket stores are then appended *without* syncing; the WAL
     /// covers them until [`DataEngine::checkpoint_shard`] runs.
     pub fn flush_shard(&self, shard: usize) -> Result<u64> {
-        // Root trace on the flusher thread (a child span when a traced
-        // caller flushes synchronously): the drain cycle's WAL append,
-        // group-commit fsync, store writes and checkpoint all show up as
-        // children in the slow-op log.
-        let _trace = self.registry.trace("kv.flusher.cycle");
         let sh = &self.shards[shard];
         // Hold the shard's flush lock for the whole cycle so a concurrent
         // checkpoint (purge_vb, shutdown) can neither truncate the WAL

@@ -47,8 +47,8 @@ fn instrumented_resident_get_is_allocation_free() {
     let doc = Value::object([("v", Value::int(1)), ("name", Value::from("resident"))]);
     engine.set("user::1", doc, MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
 
-    // Warm the path: the first gets may allocate the TLS span scratch
-    // buffer and any lazily-built lookup state.
+    // Warm the path: the first gets may allocate thread-local state and
+    // any lazily-built lookup state.
     for _ in 0..64 {
         engine.get("user::1").unwrap();
     }

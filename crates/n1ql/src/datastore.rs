@@ -75,11 +75,9 @@ pub trait Datastore: Send + Sync {
     /// BUILD INDEX for deferred definitions.
     fn build_index(&self, keyspace: &str, name: &str) -> Result<()>;
 
-    /// Scan a `system:` catalog keyspace (`system:completed_requests`,
-    /// `system:active_requests`, `system:indexes`, `system:keyspaces`,
-    /// `system:nodes`, `system:replication`, `system:staleness`),
-    /// returning `(key, document)` rows backed live by service state.
-    /// Datastores without introspection reject all of them.
+    /// Scan one of the [`SYSTEM_KEYSPACES`] catalogs, returning
+    /// `(key, document)` rows backed live by service state. Datastores
+    /// without introspection reject all of them.
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
         Err(Error::Plan(format!("no such keyspace: {keyspace}")))
     }
@@ -104,6 +102,24 @@ pub trait Datastore: Send + Sync {
         None
     }
 }
+
+/// Every `system:` catalog keyspace, declared once. A datastore with
+/// introspection answers each of these names from
+/// [`Datastore::system_scan`] (with no rows where it has no such service)
+/// and rejects any other `system:` name.
+pub const SYSTEM_KEYSPACES: &[&str] = &[
+    "system:active_requests",
+    "system:completed_requests",
+    "system:completed_traces",
+    "system:events",
+    "system:indexes",
+    "system:keyspaces",
+    "system:nodes",
+    "system:prepareds",
+    "system:replication",
+    "system:staleness",
+    "system:transactions",
+];
 
 #[derive(Default)]
 struct MemKeyspace {
@@ -441,9 +457,10 @@ impl Datastore for MemoryDatastore {
                     ("services", Value::Array(vec![Value::from("n1ql")])),
                 ]),
             )]),
-            // No replication pumps in a single-node memory datastore: the
-            // catalogs exist (queries don't error) but have no rows.
-            "system:replication" | "system:staleness" => Ok(Vec::new()),
+            // No replication, transactions, trace store or flight
+            // recorder in a single-node memory datastore: those catalogs
+            // exist (queries don't error) but have no rows.
+            known if SYSTEM_KEYSPACES.contains(&known) => Ok(Vec::new()),
             other => Err(Error::Plan(format!("no such keyspace: {other}"))),
         }
     }
@@ -492,6 +509,17 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].doc_id, "d7");
+    }
+
+    #[test]
+    fn memory_datastore_answers_every_system_keyspace() {
+        let ds = MemoryDatastore::new();
+        for name in SYSTEM_KEYSPACES {
+            ds.system_scan(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            crate::query(&ds, &format!("SELECT * FROM {name}"), &Default::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        assert!(ds.system_scan("system:bogus").is_err());
     }
 
     #[test]

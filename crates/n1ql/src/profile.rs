@@ -10,9 +10,9 @@
 //!   exclusive time). Disabled collectors are a no-op: a `PROFILE`-less
 //!   query pays one branch per operator and allocates nothing extra.
 //! - [`PhaseTimes`] — plan / indexScan / primaryScan / fetch / run rollups
-//!   extracted from the same cbs-obs span tree the slow-op ring captures,
-//!   so cross-service time (GSI scans, KV fetches) is attributed from real
-//!   spans, not guessed.
+//!   extracted from the request's cbs-obs spans (the same spans its trace
+//!   publishes), so cross-service time (GSI scans, KV fetches) is
+//!   attributed from real spans, not guessed.
 //! - [`RequestLog`] — a bounded ring of completed requests (slow or failed,
 //!   threshold-gated) plus the in-flight set, feeding the
 //!   `system:completed_requests` and `system:active_requests` keyspaces.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_json::Value;
-use cbs_obs::SpanNode;
+use cbs_obs::SpanRec;
 
 /// Every operator name the executor can emit, in pipeline order. The
 /// `profile-coverage` xtask lint cross-checks that `exec.rs` records stats
@@ -149,7 +149,7 @@ pub struct PhaseTimes {
     /// Primary-scan time (`n1ql.exec.primary_scan`).
     pub primary_scan: Duration,
     /// KV fetch time (`n1ql.exec.fetch`), cross-service: nested
-    /// `kv.engine.get` spans are attributed here.
+    /// `client.kv.get` spans are attributed here.
     pub fetch: Duration,
     /// Executor time outside scans and fetches (`n1ql.exec.run` minus the
     /// scan/fetch spans nested within it).
@@ -157,42 +157,51 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Roll a captured span tree up into phases. Spans are pre-order with
-    /// depths; once a span is attributed to a phase its descendants are
-    /// skipped, so nested cross-service spans (`index.manager.scan` under
-    /// `n1ql.exec.index_scan`, `kv.engine.get` under `n1ql.exec.fetch`)
-    /// count once, inside the phase that issued them.
-    pub fn from_spans(spans: &[SpanNode]) -> PhaseTimes {
+    /// Roll a request's spans up into phases, following parent links. A
+    /// span inside a scan/fetch/parse/plan phase span is never counted
+    /// again, so nested cross-service spans (`index.manager.scan` under
+    /// `n1ql.exec.index_scan`, `client.kv.get` under `n1ql.exec.fetch`)
+    /// count once, inside the phase that issued them. Spans whose parent
+    /// is not in `spans` are top-level.
+    pub fn from_spans(spans: &[SpanRec]) -> PhaseTimes {
+        let is_phase = |name: &str| {
+            matches!(
+                name,
+                "n1ql.query.parse"
+                    | "n1ql.query.plan"
+                    | "n1ql.exec.index_scan"
+                    | "n1ql.exec.primary_scan"
+                    | "n1ql.exec.fetch"
+            )
+        };
+        // True if an ancestor of `s` within `spans` is a phase span. The
+        // walk is bounded by the slice length, so a cycle cannot hang it.
+        let inside_phase = |s: &SpanRec| {
+            let mut parent = s.parent;
+            for _ in 0..spans.len() {
+                let Some(p) = spans.iter().find(|p| p.id == parent) else { return false };
+                if is_phase(p.name) {
+                    return true;
+                }
+                parent = p.parent;
+            }
+            false
+        };
         let mut t = PhaseTimes::default();
         let mut run_gross = Duration::ZERO;
-        let mut i = 0usize;
-        while i < spans.len() {
-            let s = &spans[i];
-            match s.name {
-                "n1ql.query.parse" | "n1ql.query.plan" => {
-                    t.plan += s.duration;
-                    i = skip_subtree(spans, i);
-                }
-                "n1ql.exec.index_scan" => {
-                    t.index_scan += s.duration;
-                    i = skip_subtree(spans, i);
-                }
-                "n1ql.exec.primary_scan" => {
-                    t.primary_scan += s.duration;
-                    i = skip_subtree(spans, i);
-                }
-                "n1ql.exec.fetch" => {
-                    t.fetch += s.duration;
-                    i = skip_subtree(spans, i);
-                }
+        for s in spans {
+            let phase = match s.name {
+                "n1ql.query.parse" | "n1ql.query.plan" => &mut t.plan,
+                "n1ql.exec.index_scan" => &mut t.index_scan,
+                "n1ql.exec.primary_scan" => &mut t.primary_scan,
+                "n1ql.exec.fetch" => &mut t.fetch,
                 // Gross run time; scan/fetch phases nest inside it and are
-                // subtracted below, leaving exclusive executor time. Do NOT
-                // skip the subtree — the nested phases still need counting.
-                "n1ql.exec.run" => {
-                    run_gross += s.duration;
-                    i += 1;
-                }
-                _ => i += 1,
+                // subtracted below, leaving exclusive executor time.
+                "n1ql.exec.run" => &mut run_gross,
+                _ => continue,
+            };
+            if !inside_phase(s) {
+                *phase += Duration::from_nanos(s.dur_ns);
             }
         }
         t.run = run_gross
@@ -420,36 +429,34 @@ impl RequestLog {
     }
 }
 
-/// First index past the subtree rooted at `i` (pre-order, depth-encoded).
-fn skip_subtree(spans: &[SpanNode], i: usize) -> usize {
-    let d = spans[i].depth;
-    let mut j = i + 1;
-    while j < spans.len() && spans[j].depth > d {
-        j += 1;
-    }
-    j
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn node(name: &'static str, depth: u16, micros: u64) -> SpanNode {
-        SpanNode { name, depth, offset: Duration::ZERO, duration: Duration::from_micros(micros) }
+    /// A span with id `id` under `parent` (0 = no parent).
+    fn rec(id: u64, parent: u64, name: &'static str, micros: u64) -> SpanRec {
+        SpanRec {
+            id,
+            parent,
+            name,
+            lane: std::sync::Arc::from("query"),
+            start_ns: 0,
+            dur_ns: micros * 1000,
+        }
     }
 
     #[test]
     fn phases_attribute_nested_service_time_once() {
         let spans = vec![
-            node("n1ql.query.request", 0, 1000),
-            node("n1ql.query.parse", 1, 50),
-            node("n1ql.query.plan", 1, 70),
-            node("n1ql.exec.run", 1, 800),
-            node("n1ql.exec.index_scan", 2, 300),
-            node("index.manager.scan", 3, 280),
-            node("n1ql.exec.fetch", 2, 400),
-            node("kv.engine.get", 3, 120),
-            node("kv.engine.get", 3, 110),
+            rec(1, 0, "n1ql.query.execute", 1000),
+            rec(2, 1, "n1ql.query.parse", 50),
+            rec(3, 1, "n1ql.query.plan", 70),
+            rec(4, 1, "n1ql.exec.run", 800),
+            rec(5, 4, "n1ql.exec.index_scan", 300),
+            rec(6, 5, "index.manager.scan", 280),
+            rec(7, 4, "n1ql.exec.fetch", 400),
+            rec(8, 7, "client.kv.get", 120),
+            rec(9, 7, "client.kv.get", 110),
         ];
         let t = PhaseTimes::from_spans(&spans);
         assert_eq!(t.plan, Duration::from_micros(120));
@@ -458,12 +465,40 @@ mod tests {
             Duration::from_micros(300),
             "index.manager.scan not double-counted"
         );
-        assert_eq!(t.fetch, Duration::from_micros(400), "kv.engine.get not double-counted");
+        assert_eq!(t.fetch, Duration::from_micros(400), "client.kv.get not double-counted");
         assert_eq!(t.run, Duration::from_micros(100), "run is exclusive of nested phases");
         assert_eq!(t.total(), Duration::from_micros(920));
         let v = t.to_value();
         assert!(v.get_field("indexScan").is_some());
         assert!(v.get_field("primaryScan").is_none(), "zero phases omitted");
+    }
+
+    #[test]
+    fn phase_spans_nested_in_a_phase_count_once() {
+        // A fetch issued from inside an index scan (and a plan inside a
+        // fetch) belongs to the outer phase; order in the slice does not
+        // matter — attribution follows parent links, not positions.
+        let spans = vec![
+            rec(7, 5, "n1ql.exec.fetch", 90),
+            rec(8, 7, "n1ql.query.plan", 40),
+            rec(5, 4, "n1ql.exec.index_scan", 300),
+            rec(4, 0, "n1ql.exec.run", 500),
+        ];
+        let t = PhaseTimes::from_spans(&spans);
+        assert_eq!(t.index_scan, Duration::from_micros(300));
+        assert_eq!(t.fetch, Duration::ZERO);
+        assert_eq!(t.plan, Duration::ZERO);
+        assert_eq!(t.run, Duration::from_micros(200));
+    }
+
+    #[test]
+    fn phases_of_a_partial_slice_treat_unknown_parents_as_top_level() {
+        // A capture inside an open request root sees the root's children
+        // but not the root itself.
+        let spans = vec![rec(2, 1, "n1ql.query.plan", 30), rec(3, 1, "n1ql.exec.fetch", 60)];
+        let t = PhaseTimes::from_spans(&spans);
+        assert_eq!(t.plan, Duration::from_micros(30));
+        assert_eq!(t.fetch, Duration::from_micros(60));
     }
 
     #[test]

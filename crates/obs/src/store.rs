@@ -1,27 +1,35 @@
-//! Causal end-to-end tracing: a cluster-wide trace store stitching one
-//! span tree across threads and services (DESIGN.md §17).
+//! Causal tracing: the one span model (DESIGN.md §10, §17).
 //!
-//! The thread-local tracing in [`crate::trace`] captures a span tree for
-//! one operation *on one thread* — it dies at the SmartClient/transport
-//! boundary, inside the replication pump, and across the flusher hand-off.
-//! This module adds the Dapper-style half: a [`TraceContext`] (trace id +
-//! parent span id) minted at entry points, carried across thread
-//! boundaries (on `DcpItem`s, in the flusher's dirty queues), and joined
-//! back into a single tree inside a bounded [`TraceStore`].
+//! A [`TraceContext`] (trace id + parent span id) is minted at entry
+//! points, carried across thread boundaries (on `DcpItem`s, in the
+//! flusher's dirty queues), and joined back into a single span tree per
+//! operation inside a bounded, cluster-wide [`TraceStore`]. The same tree
+//! answers "where did this slow operation spend its time?"
+//! ([`TraceStore::slow_traces`]) and feeds N1QL `phaseTimes` ([`capture`]).
 //!
 //! Design points:
 //!
-//! - **Head sampling, always on.** The sampling decision is made once, at
-//!   mint time, by a deterministic 1-in-N counter (`CBS_TRACE_SAMPLE`,
-//!   default every operation). Unsampled operations cost one TLS read on
-//!   the hot path and allocate nothing.
+//! - **A thread-local buffer is the fast path.** The outermost guard on a
+//!   thread — a minted root, or the replication pump's
+//!   [`TraceStore::child_of`] span — owns a span buffer. Every span opened
+//!   beneath it on that thread, including the free function [`span`],
+//!   appends there, and the owner hands the whole buffer to the trace's
+//!   slot under one lock when it drops. [`span`] on a thread with no guard
+//!   is a no-op that never allocates.
+//! - **Head sampling decides publication, nothing else.** A deterministic
+//!   1-in-N counter (`CBS_TRACE_SAMPLE`, default every operation) picks the
+//!   traces that reach the store. An unsampled operation (or one whose
+//!   slot is still busy) keeps its local buffer — its spans still feed
+//!   `phaseTimes` — but is never published and carries no context across
+//!   threads.
 //! - **Bounded everywhere.** Traces live in a fixed slot array while
 //!   collecting spans (slot = `trace_id % slots`); a trace holds at most
 //!   [`MAX_SPANS_PER_TRACE`] spans (extras are counted, not stored);
 //!   finished traces are retired into a fixed-capacity completed ring.
 //! - **Slow/failed traces always retained.** Ring eviction drops the
 //!   oldest *unremarkable* trace first; traces that failed or ran past
-//!   the slow threshold survive until only retained traces remain.
+//!   the slow threshold (`CBS_SLOW_OP_MS`, default 100 ms) survive until
+//!   only retained traces remain.
 //! - **Late spans are welcome.** A trace's root can finish before the
 //!   replication pump records its delivery span (the replica ack races
 //!   the client's observe loop). Finished traces therefore stay in their
@@ -31,6 +39,8 @@
 //! so instrumented crates (notably `cbs-cluster`, which bans ad-hoc clock
 //! reads) never touch the clock themselves.
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,9 +59,21 @@ const COMPLETED_RING_CAP: usize = 128;
 /// Hard per-trace span cap: spans past this are counted as dropped.
 pub const MAX_SPANS_PER_TRACE: usize = 192;
 
-/// Default slow-trace retention threshold (same default as the slow-op
-/// ring; [`TraceStore::set_slow_threshold`] overrides it).
-const DEFAULT_SLOW_TRACE: Duration = Duration::from_millis(100);
+/// Default slow threshold: traces whose root runs at least this long are
+/// retained and listed by [`TraceStore::slow_traces`].
+const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(100);
+
+/// The slow threshold a new [`TraceStore`] (and the N1QL request log)
+/// starts with: `CBS_SLOW_OP_MS` (milliseconds) when set and parseable,
+/// else [`DEFAULT_SLOW_THRESHOLD`]. Read per call so tests can vary the
+/// environment; construction is far off any hot path.
+pub fn default_slow_threshold() -> Duration {
+    std::env::var("CBS_SLOW_OP_MS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map(Duration::from_millis)
+        .unwrap_or(DEFAULT_SLOW_THRESHOLD)
+}
 
 /// The causal context one operation carries across thread and service
 /// boundaries: which trace it belongs to and which span is its parent.
@@ -65,25 +87,178 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
-thread_local! {
-    /// The ambient context of the current thread: set by span guards,
-    /// read by [`current_context`] and by `mint`/`child` to stitch nested
-    /// instrumentation into the caller's trace.
-    static CURRENT: std::cell::Cell<Option<TraceContext>> =
-        const { std::cell::Cell::new(None) };
+/// The span buffer owned by the outermost guard on a thread.
+struct Frame {
+    /// Where the buffer is published when its owner drops; `None` for a
+    /// local-only trace (unsampled, busy slot, or no store at all).
+    store: Option<Arc<TraceStore>>,
+    /// The published trace's id (0 when local-only).
+    trace_id: u64,
+    /// The owner's start: buffered `start_ns` offsets are relative to it.
+    base: Instant,
+    /// Index of the innermost open span — the parent of the next one.
+    cur: usize,
+    /// Spans in open order (pre-order); `spans[0]` is the owner's.
+    spans: Vec<SpanRec>,
+    /// Spans refused past [`MAX_SPANS_PER_TRACE`].
+    dropped: u32,
+    failed: bool,
+    /// Span ids of a local-only trace (published ones draw store ids).
+    next_local: u64,
 }
 
-/// The ambient [`TraceContext`] of the calling thread, if a causal span
-/// guard is live on it.
+impl Frame {
+    fn next_id(&mut self) -> u64 {
+        match &self.store {
+            Some(store) => store.next_span_id(),
+            None => {
+                self.next_local += 1;
+                self.next_local
+            }
+        }
+    }
+
+    /// Open a span under the innermost open one (or under `parent`),
+    /// inheriting its lane unless `lane` is given.
+    fn open(
+        &mut self,
+        name: &'static str,
+        lane: Option<&Arc<str>>,
+        parent: Option<u64>,
+    ) -> SpanGuard {
+        if self.spans.len() >= MAX_SPANS_PER_TRACE {
+            self.dropped += 1;
+            return SpanGuard::INERT;
+        }
+        let up = &self.spans[self.cur];
+        let parent = parent.unwrap_or(up.id);
+        let lane = Arc::clone(lane.unwrap_or(&up.lane));
+        let id = self.next_id();
+        let start_ns = self.base.elapsed().as_nanos() as u64;
+        self.spans.push(SpanRec { id, parent, name, lane, start_ns, dur_ns: 0 });
+        let up = std::mem::replace(&mut self.cur, self.spans.len() - 1);
+        SpanGuard::open(Open { index: self.cur, up, owner: None })
+    }
+
+    /// The context of the span at `index`, when this trace is published.
+    fn ctx_of(&self, index: usize) -> Option<TraceContext> {
+        self.store.as_ref()?;
+        Some(TraceContext { trace_id: self.trace_id, span_id: self.spans.get(index)?.id })
+    }
+}
+
+/// Per-thread tracing state: the current frame plus recycled buffer
+/// storage, so steady-state tracing does not allocate.
+struct Local {
+    frame: Option<Frame>,
+    spare: Vec<SpanRec>,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> =
+        const { RefCell::new(Local { frame: None, spare: Vec::new() }) };
+}
+
+/// The ambient [`TraceContext`] of the calling thread, if a guard of a
+/// published trace is live on it.
 pub fn current_context() -> Option<TraceContext> {
-    CURRENT.with(|c| c.get())
+    LOCAL.with(|l| l.borrow().frame.as_ref().and_then(|f| f.ctx_of(f.cur)))
+}
+
+/// Open a child span of the thread's innermost open span, on its lane.
+/// No-op (and allocation-free) when no guard is live on the thread. Close
+/// it by dropping the guard.
+pub fn span(name: &'static str) -> SpanGuard {
+    join(name, None, None).unwrap_or(SpanGuard::INERT)
+}
+
+/// Open a span in the thread's frame if there is one.
+fn join(name: &'static str, lane: Option<&Arc<str>>, parent: Option<u64>) -> Option<SpanGuard> {
+    LOCAL.with(|l| l.borrow_mut().frame.as_mut().map(|f| f.open(name, lane, parent)))
+}
+
+/// Open a span that owns a fresh frame on this thread. A frame of another
+/// trace already on the thread is set aside and restored on drop.
+fn own(
+    store: Option<Arc<TraceStore>>,
+    trace_id: u64,
+    parent: u64,
+    name: &'static str,
+    lane: &Arc<str>,
+    base: Instant,
+    root: bool,
+) -> SpanGuard {
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let spans = std::mem::take(&mut l.spare);
+        let mut frame = Frame {
+            store,
+            trace_id,
+            base,
+            cur: 0,
+            spans,
+            dropped: 0,
+            failed: false,
+            next_local: 0,
+        };
+        let id = frame.next_id();
+        frame.spans.push(SpanRec {
+            id,
+            parent,
+            name,
+            lane: Arc::clone(lane),
+            start_ns: 0,
+            dur_ns: 0,
+        });
+        let outer = l.frame.replace(frame).map(Box::new);
+        SpanGuard::open(Open { index: 0, up: 0, owner: Some(Owner { root, outer }) })
+    })
+}
+
+/// Collect the spans the calling thread records from now until
+/// [`Capture::finish`] — the request's view for `phaseTimes`. Inside a
+/// live guard the capture reads that guard's buffer; otherwise it opens a
+/// local-only root named `root_name`, which is never published.
+pub fn capture(root_name: &'static str) -> Capture {
+    match LOCAL.with(|l| l.borrow().frame.as_ref().map(|f| f.spans.len())) {
+        Some(from) => Capture { from, root: None },
+        None => Capture {
+            from: 0,
+            root: Some(own(None, 0, 0, root_name, &Arc::from("local"), Instant::now(), true)),
+        },
+    }
+}
+
+/// In-progress span capture started by [`capture`].
+#[must_use = "a capture must be finished to yield its spans"]
+pub struct Capture {
+    from: usize,
+    root: Option<SpanGuard>,
+}
+
+impl Capture {
+    /// Stop capturing and hand `read` the spans recorded since
+    /// [`capture`], in open order, with parent links — read in place, so
+    /// a per-request rollup copies nothing. An owned root is included,
+    /// closed now; a borrowed enclosing guard is not (it is still open).
+    pub fn finish<R>(self, read: impl FnOnce(&[SpanRec]) -> R) -> R {
+        LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            let Some(f) = l.frame.as_mut() else { return read(&[]) };
+            if self.root.is_some() {
+                f.spans[0].dur_ns = f.base.elapsed().as_nanos() as u64;
+            }
+            read(f.spans.get(self.from..).unwrap_or(&[]))
+        })
+    }
 }
 
 /// One recorded span: offsets are nanoseconds since the owning trace's
 /// start, `parent == 0` marks the root.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// Span id (unique within the store).
+    /// Span id (unique within its trace; published traces draw ids that
+    /// are unique within the store).
     pub id: u64,
     /// Parent span id, `0` for the root span.
     pub parent: u64,
@@ -239,7 +414,8 @@ pub struct TraceStore {
 
 impl TraceStore {
     /// A fresh store. The head-sampling rate comes from `CBS_TRACE_SAMPLE`
-    /// (sample 1 in N mints; default 1 = every operation).
+    /// (sample 1 in N mints; default 1 = every operation), the slow
+    /// threshold from [`default_slow_threshold`].
     pub fn new() -> Arc<TraceStore> {
         let sample = std::env::var("CBS_TRACE_SAMPLE")
             .ok()
@@ -254,13 +430,15 @@ impl TraceStore {
             next_span: AtomicU64::new(0),
             sample_tick: AtomicU64::new(0),
             sample_every: AtomicU64::new(sample),
-            slow_nanos: AtomicU64::new(DEFAULT_SLOW_TRACE.as_nanos() as u64),
+            slow_nanos: AtomicU64::new(
+                default_slow_threshold().as_nanos().min(u64::MAX as u128) as u64
+            ),
             minted: registry.counter_with_help("obs.trace.minted", "Root traces started"),
             completed: registry
                 .counter_with_help("obs.trace.completed", "Traces whose root span finished"),
             unsampled: registry.counter_with_help(
                 "obs.trace.unsampled",
-                "Entry points not traced (head sampling or slot pressure)",
+                "Entry points not published (head sampling or slot pressure)",
             ),
             evicted: registry.counter_with_help(
                 "obs.trace.evicted",
@@ -284,107 +462,106 @@ impl TraceStore {
         self.sample_every.store(n.max(1), Ordering::Relaxed);
     }
 
-    /// Traces at least this slow are always retained in the ring.
+    /// The slow threshold: traces at least this slow are always retained
+    /// in the ring and listed by [`TraceStore::slow_traces`].
+    pub fn slow_threshold(&self) -> Duration {
+        Duration::from_nanos(self.slow_nanos.load(Ordering::Relaxed))
+    }
+
+    /// Set the slow threshold (`Duration::ZERO` makes every trace slow).
     pub fn set_slow_threshold(&self, d: Duration) {
         self.slow_nanos.store(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
     }
 
     /// Start (or join) a trace at an entry point. If the calling thread
-    /// already carries a context — e.g. `upsert` inside `upsert_durable`,
-    /// or a N1QL mutation inside a traced request — the new span becomes a
-    /// child of it instead of minting a second trace. Returns `None` when
-    /// head sampling skips this operation or its slot is still busy with a
-    /// live trace.
-    pub fn mint(self: &Arc<Self>, name: &'static str, lane: &Arc<str>) -> Option<SpanHandle> {
-        if let Some(ctx) = current_context() {
-            return Some(self.span_under(ctx, name, lane));
+    /// already has a live guard — e.g. `upsert` inside `upsert_durable`,
+    /// or a N1QL fetch inside a traced request — the new span becomes a
+    /// child of it instead of starting a second trace. Otherwise the
+    /// guard owns a new root; head sampling or a busy slot make it
+    /// local-only (recorded on this thread, never published).
+    pub fn mint(self: &Arc<Self>, name: &'static str, lane: &Arc<str>) -> SpanGuard {
+        if let Some(joined) = join(name, Some(lane), None) {
+            return joined;
         }
+        let start = Instant::now();
+        match self.claim(name, start) {
+            Some(trace_id) => own(Some(Arc::clone(self)), trace_id, 0, name, lane, start, true),
+            None => own(None, 0, 0, name, lane, start, true),
+        }
+    }
+
+    /// Decide whether a new root is published and, if so, claim its slot.
+    fn claim(&self, name: &'static str, start: Instant) -> Option<u64> {
         let every = self.sample_every.load(Ordering::Relaxed);
         if !self.sample_tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(every) {
             self.unsampled.inc();
             return None;
         }
         let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
-            match slot.as_ref() {
-                Some(t) if !t.root_done => {
-                    // The slot still belongs to a live trace: spilling it
-                    // would lose the live trace's late spans, so the new
-                    // operation goes untraced instead (bounded memory wins).
-                    self.unsampled.inc();
-                    return None;
-                }
-                Some(t) => {
-                    let done = t.to_completed();
-                    self.retire(done);
-                }
-                None => {}
+        let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
+        match slot.as_ref() {
+            Some(t) if !t.root_done => {
+                // The slot still belongs to a live trace: spilling it
+                // would lose the live trace's late spans, so the new
+                // operation goes unpublished instead (bounded memory wins).
+                self.unsampled.inc();
+                return None;
             }
-            *slot = Some(ActiveTrace {
-                trace_id,
-                root_name: name,
-                start: Instant::now(),
-                spans: Vec::new(),
-                root_done: false,
-                failed: false,
-                total_ns: 0,
-                dropped_spans: 0,
-            });
+            Some(t) => {
+                let done = t.to_completed();
+                self.retire(done);
+            }
+            None => {}
         }
-        self.minted.inc();
-        let ctx = TraceContext { trace_id, span_id: self.next_span_id() };
-        let prev = CURRENT.with(|c| c.replace(Some(ctx)));
-        Some(SpanHandle {
-            store: Arc::clone(self),
-            ctx,
-            parent: 0,
-            name,
-            lane: Arc::clone(lane),
-            start: Instant::now(),
-            is_root: true,
+        *slot = Some(ActiveTrace {
+            trace_id,
+            root_name: name,
+            start,
+            spans: Vec::new(),
+            root_done: false,
             failed: false,
-            prev,
-        })
+            total_ns: 0,
+            dropped_spans: 0,
+        });
+        drop(slot);
+        self.minted.inc();
+        Some(trace_id)
     }
 
-    /// A child span of the calling thread's ambient context; `None` (and
-    /// no work at all) when the thread is not inside a sampled trace.
-    pub fn child(self: &Arc<Self>, name: &'static str, lane: &Arc<str>) -> Option<SpanHandle> {
-        current_context().map(|ctx| self.span_under(ctx, name, lane))
+    /// A child span of the calling thread's innermost open span; inert
+    /// (and no work at all) when no guard is live on the thread.
+    pub fn child(&self, name: &'static str, lane: &Arc<str>) -> SpanGuard {
+        join(name, Some(lane), None).unwrap_or(SpanGuard::INERT)
     }
 
     /// A child span of an explicit carried context — the cross-thread
-    /// stitch (replication pump, flusher, any hand-off that shipped a
-    /// [`TraceContext`] instead of a thread). Sets the ambient context for
-    /// the guard's lifetime so nested instrumentation joins the trace.
+    /// stitch (replication pump, any hand-off that shipped a
+    /// [`TraceContext`] instead of a thread). On a thread already inside
+    /// that trace the span joins the thread's buffer; otherwise it owns a
+    /// new buffer, published to the trace's slot when it drops.
     pub fn child_of(
         self: &Arc<Self>,
         ctx: TraceContext,
         name: &'static str,
         lane: &Arc<str>,
-    ) -> SpanHandle {
-        self.span_under(ctx, name, lane)
-    }
-
-    fn span_under(
-        self: &Arc<Self>,
-        parent: TraceContext,
-        name: &'static str,
-        lane: &Arc<str>,
-    ) -> SpanHandle {
-        let ctx = TraceContext { trace_id: parent.trace_id, span_id: self.next_span_id() };
-        let prev = CURRENT.with(|c| c.replace(Some(ctx)));
-        SpanHandle {
-            store: Arc::clone(self),
-            ctx,
-            parent: parent.span_id,
-            name,
-            lane: Arc::clone(lane),
-            start: Instant::now(),
-            is_root: false,
-            failed: false,
-            prev,
+    ) -> SpanGuard {
+        let same_trace = LOCAL.with(|l| {
+            l.borrow()
+                .frame
+                .as_ref()
+                .is_some_and(|f| f.store.is_some() && f.trace_id == ctx.trace_id)
+        });
+        match same_trace {
+            true => join(name, Some(lane), Some(ctx.span_id)).unwrap_or(SpanGuard::INERT),
+            false => own(
+                Some(Arc::clone(self)),
+                ctx.trace_id,
+                ctx.span_id,
+                name,
+                lane,
+                Instant::now(),
+                false,
+            ),
         }
     }
 
@@ -392,9 +569,11 @@ impl TraceStore {
         self.next_span.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Record one already-timed span into a trace — the flusher's shape:
-    /// one fsync interval is attributed to every traced mutation in the
-    /// commit cycle without holding guards across the batch.
+    /// Record one already-timed span straight into a trace's slot — the
+    /// flusher's shape: one fsync interval is attributed to every traced
+    /// mutation in the commit cycle without holding guards across the
+    /// batch. Spans for evicted traces and spans past the cap are counted,
+    /// not stored.
     pub fn record_span(
         &self,
         ctx: TraceContext,
@@ -403,59 +582,58 @@ impl TraceStore {
         start: Instant,
         end: Instant,
     ) {
-        self.push_span(
-            ctx.trace_id,
-            SpanRec {
-                id: self.next_span_id(),
-                parent: ctx.span_id,
-                name,
-                lane: Arc::clone(lane),
-                start_ns: 0,
-                dur_ns: end.saturating_duration_since(start).as_nanos() as u64,
-            },
-            start,
-            false,
-        );
-    }
-
-    /// Append `span` to its trace, translating its absolute `start` to an
-    /// offset from the trace start. Spans for evicted traces and spans
-    /// past the cap are counted, not stored.
-    fn push_span(&self, trace_id: u64, mut span: SpanRec, start: Instant, failed: bool) {
-        let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
+        let id = self.next_span_id();
+        let mut slot = self.slots[ctx.trace_id as usize % TRACE_SLOTS].lock();
         match slot.as_mut() {
-            Some(t) if t.trace_id == trace_id => {
+            Some(t) if t.trace_id == ctx.trace_id => {
                 if t.spans.len() >= MAX_SPANS_PER_TRACE {
                     t.dropped_spans += 1;
                     self.dropped.inc();
                 } else {
-                    span.start_ns = start.saturating_duration_since(t.start).as_nanos() as u64;
-                    t.spans.push(span);
+                    t.spans.push(SpanRec {
+                        id,
+                        parent: ctx.span_id,
+                        name,
+                        lane: Arc::clone(lane),
+                        start_ns: start.saturating_duration_since(t.start).as_nanos() as u64,
+                        dur_ns: end.saturating_duration_since(start).as_nanos() as u64,
+                    });
                 }
-                t.failed |= failed;
             }
             _ => self.dropped.inc(),
         }
     }
 
-    /// Mark a trace's root as finished. The trace stays in its slot (late
-    /// spans still land) until a new trace claims the slot.
-    fn finish_root(&self, trace_id: u64, total: Duration, failed: bool) {
-        let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
-        if let Some(t) = slot.as_mut() {
-            if t.trace_id == trace_id {
-                t.root_done = true;
-                t.failed |= failed;
-                t.total_ns = total.as_nanos() as u64;
-                self.completed.inc();
-            }
+    /// Hand a finished frame's spans to its trace's slot under one lock;
+    /// a root frame also marks the trace finished. The trace stays in its
+    /// slot (late spans still land) until a new trace claims the slot.
+    fn publish(&self, frame: &mut Frame, root: bool) {
+        let mut slot = self.slots[frame.trace_id as usize % TRACE_SLOTS].lock();
+        let Some(t) = slot.as_mut().filter(|t| t.trace_id == frame.trace_id) else {
+            self.dropped.add(frame.spans.len() as u64 + u64::from(frame.dropped));
+            return;
+        };
+        if root {
+            t.root_done = true;
+            t.total_ns = frame.spans[0].dur_ns;
+            self.completed.inc();
         }
+        let shift = frame.base.saturating_duration_since(t.start).as_nanos() as u64;
+        let room = MAX_SPANS_PER_TRACE.saturating_sub(t.spans.len());
+        let refused = frame.spans.len().saturating_sub(room) as u32 + frame.dropped;
+        t.spans.extend(frame.spans.drain(..).take(room).map(|mut s| {
+            s.start_ns += shift;
+            s
+        }));
+        t.failed |= frame.failed;
+        t.dropped_spans += refused;
+        self.dropped.add(u64::from(refused));
     }
 
     /// Push a finished trace into the completed ring, evicting the oldest
     /// unremarkable (not slow, not failed) trace when full.
     fn retire(&self, trace: CompletedTrace) {
-        let slow = Duration::from_nanos(self.slow_nanos.load(Ordering::Relaxed));
+        let slow = self.slow_threshold();
         let mut ring = self.ring.lock();
         ring.push_back(trace);
         if ring.len() > COMPLETED_RING_CAP {
@@ -469,11 +647,25 @@ impl TraceStore {
     /// still sitting in their slots, sorted by trace id. Non-destructive —
     /// slot traces keep accepting late spans after this snapshot.
     pub fn completed_traces(&self) -> Vec<CompletedTrace> {
-        let mut out: Vec<CompletedTrace> = self.ring.lock().iter().cloned().collect();
+        self.finished(|_, _| true)
+    }
+
+    /// The finished traces an operator should look at — failed, or at
+    /// least the slow threshold long — sorted by trace id. This is the
+    /// cluster's slow-op log.
+    pub fn slow_traces(&self) -> Vec<CompletedTrace> {
+        let slow = self.slow_threshold();
+        self.finished(|failed, total| failed || total >= slow)
+    }
+
+    /// Finished traces for which `keep(failed, total)` holds.
+    fn finished(&self, keep: impl Fn(bool, Duration) -> bool) -> Vec<CompletedTrace> {
+        let mut out: Vec<CompletedTrace> =
+            self.ring.lock().iter().filter(|t| keep(t.failed, t.total)).cloned().collect();
         for slot in &self.slots {
             let slot = slot.lock();
             if let Some(t) = slot.as_ref() {
-                if t.root_done {
+                if t.root_done && keep(t.failed, Duration::from_nanos(t.total_ns)) {
                     out.push(t.to_completed());
                 }
             }
@@ -564,61 +756,83 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// RAII guard for one causal span. Records the span into the store when
-/// dropped; root guards additionally finish their trace. Restores the
-/// thread's previous ambient context on drop, so guards must drop in LIFO
-/// order per thread (the natural scope order).
-#[must_use = "a causal span records the scope it is alive for"]
-pub struct SpanHandle {
-    store: Arc<TraceStore>,
-    ctx: TraceContext,
-    parent: u64,
-    name: &'static str,
-    lane: Arc<str>,
-    start: Instant,
-    is_root: bool,
-    failed: bool,
-    prev: Option<TraceContext>,
+/// RAII guard for one span — the only span guard. Dropping it records
+/// the span's duration in the thread's buffer; the guard that owns the
+/// buffer (the outermost on its thread) then publishes it. Guards restore
+/// the thread's previous innermost span on drop, so they must drop in
+/// LIFO order per thread (the natural scope order) and never cross
+/// threads.
+#[must_use = "a span records the scope it is alive for"]
+pub struct SpanGuard {
+    open: Option<Open>,
+    _thread: PhantomData<*const ()>,
 }
 
-impl SpanHandle {
+/// A live span's place in its thread's frame.
+struct Open {
+    /// This span's index in the frame's buffer.
+    index: usize,
+    /// The innermost open span before this one.
+    up: usize,
+    /// Set iff this guard owns the frame.
+    owner: Option<Owner>,
+}
+
+struct Owner {
+    /// Dropping the owner finishes the trace.
+    root: bool,
+    /// A frame of another trace this guard set aside; restored on drop.
+    outer: Option<Box<Frame>>,
+}
+
+impl SpanGuard {
+    /// A guard that records nothing.
+    const INERT: SpanGuard = SpanGuard { open: None, _thread: PhantomData };
+
+    fn open(open: Open) -> SpanGuard {
+        SpanGuard { open: Some(open), _thread: PhantomData }
+    }
+
     /// The context downstream work should carry to join this trace as a
-    /// child of this span.
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
+    /// child of this span; `None` unless the trace is published.
+    pub fn ctx(&self) -> Option<TraceContext> {
+        let index = self.open.as_ref()?.index;
+        LOCAL.with(|l| l.borrow().frame.as_ref()?.ctx_of(index))
     }
 
-    /// Mark the span (and its trace) failed — failed traces are always
-    /// retained in the completed ring.
+    /// Mark the span's trace failed — failed traces are always retained in
+    /// the completed ring. A guard left inert by the span cap still marks
+    /// the trace it was opened in.
     pub fn fail(&mut self) {
-        self.failed = true;
+        LOCAL.with(|l| {
+            if let Some(f) = l.borrow_mut().frame.as_mut() {
+                f.failed = true;
+            }
+        });
     }
 }
 
-impl Drop for SpanHandle {
+impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let end = Instant::now();
-        self.store.push_span(
-            self.ctx.trace_id,
-            SpanRec {
-                id: self.ctx.span_id,
-                parent: self.parent,
-                name: self.name,
-                lane: Arc::clone(&self.lane),
-                start_ns: 0,
-                dur_ns: end.saturating_duration_since(self.start).as_nanos() as u64,
-            },
-            self.start,
-            self.failed,
-        );
-        if self.is_root {
-            self.store.finish_root(
-                self.ctx.trace_id,
-                end.saturating_duration_since(self.start),
-                self.failed,
-            );
-        }
-        CURRENT.with(|c| c.set(self.prev));
+        let Some(open) = self.open.take() else { return };
+        LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            let Some(frame) = l.frame.as_mut() else { return };
+            if let Some(s) = frame.spans.get_mut(open.index) {
+                s.dur_ns = (frame.base.elapsed().as_nanos() as u64).saturating_sub(s.start_ns);
+            }
+            frame.cur = open.up;
+            let Some(owner) = open.owner else { return };
+            let outer = owner.outer.map(|f| *f);
+            let Some(mut frame) = std::mem::replace(&mut l.frame, outer) else { return };
+            if let Some(store) = frame.store.take() {
+                store.publish(&mut frame, owner.root);
+            }
+            frame.spans.clear();
+            if l.spare.capacity() < frame.spans.capacity() {
+                l.spare = frame.spans;
+            }
+        });
     }
 }
 
@@ -653,17 +867,17 @@ impl TraceSink {
     }
 
     /// [`TraceStore::mint`] on this lane.
-    pub fn mint(&self, name: &'static str) -> Option<SpanHandle> {
+    pub fn mint(&self, name: &'static str) -> SpanGuard {
         self.store.mint(name, &self.lane)
     }
 
     /// [`TraceStore::child`] on this lane.
-    pub fn child(&self, name: &'static str) -> Option<SpanHandle> {
+    pub fn child(&self, name: &'static str) -> SpanGuard {
         self.store.child(name, &self.lane)
     }
 
     /// [`TraceStore::child_of`] on this lane.
-    pub fn child_of(&self, ctx: TraceContext, name: &'static str) -> SpanHandle {
+    pub fn child_of(&self, ctx: TraceContext, name: &'static str) -> SpanGuard {
         self.store.child_of(ctx, name, &self.lane)
     }
 
@@ -681,6 +895,13 @@ mod tests {
         Arc::from(s)
     }
 
+    fn spin(d: Duration) {
+        let t = Instant::now();
+        while t.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn mint_child_and_cross_thread_stitch_one_trace() {
         let store = TraceStore::new();
@@ -689,10 +910,10 @@ mod tests {
         let node = lane("n0");
         let carried;
         {
-            let root = store.mint("client.kv.durable", &client).expect("sampled");
+            let root = store.mint("client.kv.durable", &client);
             {
-                let child = store.child("kv.engine.set", &node).expect("ambient ctx");
-                carried = child.ctx();
+                let child = store.child("kv.engine.set", &node);
+                carried = child.ctx().expect("sampled");
             }
             // Cross-thread hand-off: another thread records under the
             // carried context with no TLS of its own.
@@ -725,8 +946,8 @@ mod tests {
         store.set_sample_every(1);
         let ctx;
         {
-            let root = store.mint("client.kv.upsert", &lane("client")).expect("sampled");
-            ctx = root.ctx();
+            let root = store.mint("client.kv.upsert", &lane("client"));
+            ctx = root.ctx().expect("sampled");
         }
         assert_eq!(store.completed_traces()[0].spans.len(), 1);
         // The replica ack races the root: its span must still stitch in.
@@ -742,9 +963,140 @@ mod tests {
         let store = TraceStore::new();
         store.set_sample_every(4);
         let client = lane("client");
-        let minted = (0..16).filter(|_| store.mint("client.kv.get", &client).is_some()).count();
+        let minted =
+            (0..16).filter(|_| store.mint("client.kv.get", &client).ctx().is_some()).count();
         assert_eq!(minted, 4);
         assert_eq!(store.registry().snapshot().counters["obs.trace.unsampled"], 12);
+        assert_eq!(store.completed_traces().len(), 4, "only sampled roots are published");
+    }
+
+    #[test]
+    fn unsampled_roots_still_buffer_spans_locally() {
+        let store = TraceStore::new();
+        store.set_sample_every(u64::MAX);
+        let _ = store.mint("client.kv.get", &lane("client")); // tick 0 is sampled
+        let root = store.mint("n1ql.query.execute", &lane("query"));
+        assert!(root.ctx().is_none(), "unsampled: no context leaves the thread");
+        assert!(current_context().is_none());
+        let cap = capture("n1ql.query.execute");
+        {
+            let _p = span("n1ql.query.plan");
+            spin(Duration::from_micros(20));
+        }
+        let spans = cap.finish(<[SpanRec]>::to_vec);
+        drop(root);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "n1ql.query.plan");
+        assert_eq!(&*spans[0].lane, "query", "child inherits the root's lane");
+        assert!(spans[0].dur_ns >= 20_000);
+        assert_eq!(store.registry().snapshot().counters["obs.trace.unsampled"], 1);
+        assert_eq!(store.completed_traces().len(), 1, "the unsampled root is never published");
+    }
+
+    #[test]
+    fn untraced_child_spans_are_noops() {
+        let g = span("kv.engine.set");
+        assert!(g.ctx().is_none());
+        drop(g);
+        assert!(current_context().is_none());
+        // Nothing recorded anywhere, and TLS is clean for a real trace.
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        drop(store.mint("kv.engine.get", &lane("n0")));
+        let traces = store.completed_traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].spans.len(), 1, "the stray span did not leak into it");
+    }
+
+    #[test]
+    fn slow_trace_keeps_its_multi_level_tree() {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        store.set_slow_threshold(Duration::ZERO);
+        {
+            let _root = store.mint("kv.engine.set", &lane("n0"));
+            {
+                let _c = span("kv.cache.insert");
+                spin(Duration::from_micros(50));
+            }
+            {
+                let _c = span("kv.flusher.wait");
+                let _gc = span("storage.wal.fsync");
+                spin(Duration::from_micros(50));
+            }
+        }
+        let slow = store.slow_traces();
+        assert_eq!(slow.len(), 1);
+        let t = &slow[0];
+        assert_eq!(t.root_name, "kv.engine.set");
+        let fsync = t.span("storage.wal.fsync").unwrap();
+        assert_eq!(
+            t.path_to_root(fsync).unwrap(),
+            vec!["kv.engine.set", "kv.flusher.wait", "storage.wal.fsync"]
+        );
+        assert!(t.total >= Duration::from_micros(100));
+        assert!(fsync.dur_ns >= 50_000);
+        let insert = t.span("kv.cache.insert").unwrap();
+        assert!(fsync.start_ns >= insert.start_ns + insert.dur_ns);
+        assert!(t.render().contains("    storage.wal.fsync"), "{}", t.render());
+    }
+
+    #[test]
+    fn fast_traces_are_not_slow() {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        store.set_slow_threshold(Duration::from_secs(3600));
+        drop(store.mint("kv.engine.get", &lane("n0")));
+        {
+            let mut failing = store.mint("kv.engine.get", &lane("n0"));
+            failing.fail();
+        }
+        let slow = store.slow_traces();
+        assert_eq!(slow.len(), 1, "only the failed trace is listed");
+        assert!(slow[0].failed);
+    }
+
+    #[test]
+    fn nested_entry_points_join_the_outer_trace() {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        {
+            let _q = store.mint("n1ql.query.execute", &lane("query"));
+            let _g = store.mint("client.kv.get", &lane("client"));
+        }
+        let traces = store.completed_traces();
+        assert_eq!(traces.len(), 1, "inner root joined the outer trace");
+        let names: Vec<_> = traces[0].spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["n1ql.query.execute", "client.kv.get"]);
+        let get = traces[0].span("client.kv.get").unwrap();
+        assert_eq!(traces[0].path_to_root(get).unwrap(), names);
+        assert_eq!(store.registry().snapshot().counters["obs.trace.minted"], 1);
+    }
+
+    #[test]
+    fn foreign_child_of_sets_the_outer_frame_aside() {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        let other = {
+            let g = store.mint("client.kv.upsert", &lane("client"));
+            g.ctx().unwrap()
+        };
+        {
+            let _root = store.mint("client.kv.get", &lane("client"));
+            {
+                let _d = store.child_of(other, "cluster.replication.deliver", &lane("n1"));
+                let _a = span("kv.engine.replica_apply");
+            }
+            let _after = span("kv.cache.get");
+        }
+        let traces = store.completed_traces();
+        assert_eq!(traces.len(), 2);
+        let names = |t: &CompletedTrace| t.spans.iter().map(|s| s.name).collect::<Vec<_>>();
+        assert_eq!(
+            names(&traces[0]),
+            vec!["client.kv.upsert", "cluster.replication.deliver", "kv.engine.replica_apply"]
+        );
+        assert_eq!(names(&traces[1]), vec!["client.kv.get", "kv.cache.get"]);
     }
 
     #[test]
@@ -752,8 +1104,8 @@ mod tests {
         let store = TraceStore::new();
         store.set_sample_every(1);
         let l = lane("client");
-        let root = store.mint("client.kv.get", &l).expect("sampled");
-        let ctx = root.ctx();
+        let root = store.mint("client.kv.get", &l);
+        let ctx = root.ctx().expect("sampled");
         let t0 = Instant::now();
         for _ in 0..(MAX_SPANS_PER_TRACE + 10) {
             store.record_span(ctx, "kv.engine.get", &l, t0, t0);
@@ -766,13 +1118,106 @@ mod tests {
     }
 
     #[test]
+    fn buffered_span_cap_counts_drops() {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        {
+            let _root = store.mint("kv.engine.scan", &lane("n0"));
+            for _ in 0..2 * MAX_SPANS_PER_TRACE {
+                drop(span("kv.engine.step"));
+            }
+            // A span refused at the cap still fails its trace.
+            span("kv.engine.step").fail();
+        }
+        let t = &store.completed_traces()[0];
+        assert!(t.failed);
+        assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
+        assert_eq!(t.dropped_spans as usize, MAX_SPANS_PER_TRACE + 2);
+        assert_eq!(
+            store.registry().snapshot().counters["obs.trace.dropped_spans"],
+            MAX_SPANS_PER_TRACE as u64 + 2
+        );
+    }
+
+    #[test]
+    fn capture_without_a_guard_owns_a_local_root() {
+        let cap = capture("n1ql.query.execute");
+        {
+            let _a = span("n1ql.query.parse");
+            spin(Duration::from_micros(20));
+        }
+        {
+            let _b = span("n1ql.exec.index_scan");
+            let _c = span("index.manager.scan");
+            spin(Duration::from_micros(20));
+        }
+        let spans = cap.finish(<[SpanRec]>::to_vec);
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            vec![
+                "n1ql.query.execute",
+                "n1ql.query.parse",
+                "n1ql.exec.index_scan",
+                "index.manager.scan"
+            ]
+        );
+        assert_eq!(spans[3].parent, spans[2].id);
+        assert_eq!(spans[2].parent, spans[0].id);
+        assert!(spans[0].dur_ns >= 40_000);
+        // TLS state is fully cleaned up.
+        assert!(current_context().is_none());
+        assert_eq!(capture("n1ql.query.execute").finish(<[SpanRec]>::len), 1);
+    }
+
+    #[test]
+    fn capture_reads_the_enclosing_guards_buffer() {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        {
+            let _root = store.mint("n1ql.query.execute", &lane("query"));
+            drop(span("n1ql.query.parse"));
+            let cap = capture("n1ql.query.execute");
+            {
+                let _s = span("n1ql.exec.fetch");
+                spin(Duration::from_micros(10));
+            }
+            let spans = cap.finish(<[SpanRec]>::to_vec);
+            assert_eq!(spans.iter().map(|s| s.name).collect::<Vec<_>>(), vec!["n1ql.exec.fetch"]);
+            assert!(spans[0].dur_ns >= 10_000);
+        }
+        // The enclosing trace still reached the store untouched.
+        let t = &store.completed_traces()[0];
+        assert_eq!(
+            t.spans.iter().map(|s| s.name).collect::<Vec<_>>(),
+            vec!["n1ql.query.execute", "n1ql.query.parse", "n1ql.exec.fetch"]
+        );
+    }
+
+    #[test]
+    fn env_overrides_default_slow_threshold() {
+        std::env::set_var("CBS_SLOW_OP_MS", "7");
+        let store = TraceStore::new();
+        std::env::remove_var("CBS_SLOW_OP_MS");
+        assert_eq!(store.slow_threshold(), Duration::from_millis(7));
+        // Garbage values fall back to the built-in default.
+        std::env::set_var("CBS_SLOW_OP_MS", "not-a-number");
+        let store2 = TraceStore::new();
+        std::env::remove_var("CBS_SLOW_OP_MS");
+        assert_eq!(store2.slow_threshold(), DEFAULT_SLOW_THRESHOLD);
+        // Runtime override still wins after construction.
+        store.set_slow_threshold(Duration::from_millis(1));
+        assert_eq!(store.slow_threshold(), Duration::from_millis(1));
+    }
+
+    #[test]
     fn failed_and_slow_traces_survive_ring_eviction() {
         let store = TraceStore::new();
         store.set_sample_every(1);
         store.set_slow_threshold(Duration::from_secs(3600));
         let l = lane("client");
         {
-            let mut failing = store.mint("client.kv.remove", &l).expect("sampled");
+            let mut failing = store.mint("client.kv.remove", &l);
             failing.fail();
         }
         let failed_id = store.completed_traces()[0].trace_id;
@@ -794,24 +1239,26 @@ mod tests {
         let store = TraceStore::new();
         store.set_sample_every(1);
         // One thread per trace: roots are minted per entry point, and the
-        // ambient context is thread-local, so same-thread mints would nest.
+        // span buffer is thread-local, so same-thread mints would nest.
         let barrier = std::sync::Barrier::new(TRACE_SLOTS + 1);
         std::thread::scope(|s| {
             for _ in 0..TRACE_SLOTS {
                 let store = &store;
                 let barrier = &barrier;
                 s.spawn(move || {
-                    let g = store.mint("client.kv.get", &lane("client")).expect("sampled");
+                    let g = store.mint("client.kv.get", &lane("client"));
+                    assert!(g.ctx().is_some(), "sampled");
                     barrier.wait(); // every slot now holds a live trace
                     barrier.wait(); // hold the slot until the spill is checked
                     drop(g);
                 });
             }
             barrier.wait();
-            // Every slot is live: the next mint goes untraced rather than
-            // evicting an in-flight trace.
+            // Every slot is live: the next mint goes unpublished rather
+            // than evicting an in-flight trace.
             let spilled = store.mint("client.kv.get", &lane("client"));
-            assert!(spilled.is_none());
+            assert!(spilled.ctx().is_none());
+            drop(spilled);
             barrier.wait();
         });
         assert_eq!(store.completed_traces().len(), TRACE_SLOTS);
@@ -822,7 +1269,7 @@ mod tests {
         let store = TraceStore::new();
         store.set_sample_every(1);
         {
-            let _root = store.mint("client.kv.durable", &lane("client")).expect("sampled");
+            let _root = store.mint("client.kv.durable", &lane("client"));
             let _a = store.child("kv.engine.set", &lane("n0"));
             let _b = store.child("cluster.replication.deliver", &lane("n1"));
         }

@@ -142,9 +142,7 @@ impl TxnClient {
         let registry = self.cluster.query_registry();
         for (index, outcome) in report.outcomes.iter().enumerate() {
             if let TxnOutcome::Aborted(reason) = outcome {
-                if let Some(g) = causal.as_mut() {
-                    g.fail();
-                }
+                causal.fail();
                 registry.record_event(
                     "txn.events.abort",
                     &[("txn", index.to_string()), ("reason", format!("{reason:?}"))],

@@ -114,15 +114,17 @@ pub(crate) const PROFILE_OPERATORS: &[&str] = &[
 /// well-formed cbs-obs metric/span name. Dynamic names (`format!`,
 /// variables) pass through — `cbs_obs::Registry` still validates them at
 /// runtime; this rule catches the static ones at lint time.
-const OBS_NAME_CALLS: &[&str] = &[
-    ".counter(",
-    ".gauge(",
-    ".histogram(",
-    ".windowed_histogram(",
-    ".trace(",
-    "span(",
-    ".record_event(",
-];
+const OBS_NAME_CALLS: &[&str] =
+    &[".counter(", ".gauge(", ".histogram(", ".windowed_histogram(", ".record_event("];
+
+/// Span-opening calls, paired with the position of the span-name argument:
+/// `span(name)`, `sink.mint(name)`, `sink.child(name)`, and the
+/// cross-thread `sink.child_of(ctx, name)` / `sink.record_span(ctx, name,
+/// …)`, whose first argument is the carried `TraceContext`. Span names
+/// follow the metric convention but are not metrics, so the
+/// described-family rule below does not apply to them.
+const SPAN_NAME_CALLS: &[(&str, usize)] =
+    &[("span(", 0), (".mint(", 0), (".child(", 0), (".child_of(", 1), (".record_span(", 1)];
 
 /// Metric/event families that must be registered through the `_with_help`
 /// variants: these names surface in the `system:replication` /
@@ -541,29 +543,36 @@ fn rule_ycsb_hot_parse(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec
 }
 
 /// `obs-naming`: metric and span name literals passed to the cbs-obs
-/// resolution/tracing calls must follow the `service.component.metric`
-/// convention — exactly three dot-separated segments, each starting with a
-/// lowercase letter and continuing with `[a-z0-9_]`. Well-formed names in
-/// the [`OBS_DESCRIBED_PREFIXES`] families must additionally be registered
+/// resolution/tracing calls ([`OBS_NAME_CALLS`], [`SPAN_NAME_CALLS`]) must
+/// follow the `service.component.metric` convention — exactly three
+/// dot-separated segments, each starting with a lowercase letter and
+/// continuing with `[a-z0-9_]`. Well-formed metric names in the
+/// [`OBS_DESCRIBED_PREFIXES`] families must additionally be registered
 /// through the `_with_help` variants. The mask blanks string contents, so
 /// the name is read back out of the original line at the same column (the
 /// mask is position-preserving per character).
 fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Finding>) {
+    let markers = OBS_NAME_CALLS
+        .iter()
+        .map(|m| (*m, 0, false))
+        .chain(SPAN_NAME_CALLS.iter().map(|(m, arg)| (*m, *arg, true)));
+    let markers: Vec<(&str, usize, bool)> = markers.collect();
     for (idx, l) in m.lines.iter().enumerate() {
         if m.test_lines[idx] {
             continue;
         }
         let Some(orig) = orig_lines.get(idx) else { continue };
         let orig: Vec<char> = orig.chars().collect();
-        for marker in OBS_NAME_CALLS {
+        let masked: Vec<char> = l.chars().collect();
+        for &(marker, arg, is_span) in &markers {
             let mut search = 0usize;
             while let Some(pos) = l[search..].find(marker) {
                 let abs = search + pos;
                 search = abs + marker.len();
                 // The bare `span(` marker needs a word boundary so it does
-                // not double-fire on `.trace(` lookalikes or match idents
+                // not double-fire on lookalike methods or match idents
                 // ending in "span"; the dotted markers carry their own.
-                if *marker == "span(" {
+                if marker == "span(" {
                     let before = l[..abs].chars().next_back();
                     if before.map(|c| c.is_alphanumeric() || c == '_' || c == '.').unwrap_or(false)
                     {
@@ -571,7 +580,8 @@ fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Fin
                     }
                 }
                 // Only same-line string-literal arguments are checked.
-                let arg_at = l[..abs + marker.len()].chars().count();
+                let open = l[..search].chars().count();
+                let Some(arg_at) = nth_arg_start(&masked, &orig, open, arg) else { continue };
                 if orig.get(arg_at) != Some(&'"') {
                     continue;
                 }
@@ -587,10 +597,7 @@ fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Fin
                              segments, each `[a-z][a-z0-9_]*`)"
                         ),
                     });
-                } else if *marker != ".trace("
-                    && *marker != "span("
-                    && OBS_DESCRIBED_PREFIXES.iter().any(|p| name.starts_with(p))
-                {
+                } else if !is_span && OBS_DESCRIBED_PREFIXES.iter().any(|p| name.starts_with(p)) {
                     out.push(Finding {
                         file: rel.to_string(),
                         line: idx + 1,
@@ -607,6 +614,32 @@ fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Fin
             }
         }
     }
+}
+
+/// Char index where argument `n` (0-based) of a call starts, given the
+/// index just past its opening parenthesis: skips `n` top-level commas
+/// and the whitespace after them. `None` when the call closes (or the
+/// line ends) first. Commas are found in `masked`, where literals are
+/// blanked, so commas inside strings do not count; whitespace is read from
+/// `orig`, where a blanked literal is not mistaken for it.
+fn nth_arg_start(masked: &[char], orig: &[char], open: usize, n: usize) -> Option<usize> {
+    let mut at = open;
+    let mut commas = 0usize;
+    let mut depth = 0usize;
+    while commas < n {
+        match *masked.get(at)? {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => return None,
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => commas += 1,
+            _ => {}
+        }
+        at += 1;
+    }
+    while n > 0 && orig.get(at).is_some_and(|c| c.is_whitespace()) {
+        at += 1;
+    }
+    Some(at)
 }
 
 /// `profile-coverage`: the N1QL executor must record profiling stats for
@@ -914,12 +947,46 @@ fn f(&self) {
     }
 
     #[test]
+    fn obs_naming_checks_causal_span_names() {
+        // The span name is the first argument of mint/child...
+        for src in [
+            "fn f(s: &TraceSink) { let _g = s.mint(\"txn.batch\"); }\n",
+            "fn f(s: &TraceSink) { let _g = s.child(\"kv.engine.Set\"); }\n",
+        ] {
+            let f = lint("txn", src);
+            assert!(f.iter().any(|f| f.rule == "obs-naming"), "{src}: {f:?}");
+        }
+        // ...and the second of child_of/record_span, after the carried
+        // context — even when that context is a call expression.
+        for src in [
+            "fn f(s: &TraceSink) { s.child_of(g.ctx(), \"cluster.deliver\"); }\n",
+            "fn f(s: &TraceSink) { s.record_span(*ctx, \"kv.flusher.wal-commit\", a, b); }\n",
+        ] {
+            let f = lint("kv", src);
+            assert!(f.iter().any(|f| f.rule == "obs-naming"), "{src}: {f:?}");
+        }
+        // Well-formed and dynamic causal names pass.
+        for src in [
+            "fn f(s: &TraceSink) { s.record_span(*ctx, \"kv.flusher.wal_commit\", a, b); }\n",
+            "fn f(s: &TraceSink) { s.child_of(ctx, name); }\n",
+            "fn f(s: &TraceSink) { let _g = s.mint(name); }\n",
+        ] {
+            let f = lint("kv", src);
+            assert!(f.iter().all(|f| f.rule != "obs-naming"), "{src}: {f:?}");
+        }
+        // `.trace(` opens no span, so its literal is not checked.
+        let gone = lint("kv", "fn f(r: &Registry) { r.trace(\"Not A Name\"); }\n");
+        assert!(gone.iter().all(|f| f.rule != "obs-naming"), "{gone:?}");
+    }
+
+    #[test]
     fn obs_naming_accepts_convention_and_dynamic_names() {
         let ok = lint(
             "kv",
             "fn f(r: &Registry) {\n    r.counter(\"kv.engine.gets\");\n    \
              r.histogram(\"kv.flusher.fsync_latency\");\n    \
-             let _t = r.trace(\"kv.engine.set\");\n    \
+             let _t = sink.mint(\"kv.engine.set\");\n    \
+             let _c = sink.child_of(g.ctx(), \"cluster.replication.deliver\");\n    \
              let _s = span(\"storage.wal.fsync2\");\n}\n",
         );
         assert!(ok.iter().all(|f| f.rule != "obs-naming"), "{ok:?}");
@@ -957,8 +1024,10 @@ fn f(&self) {
         // Other families may register without help; spans are not metrics.
         let other = lint("kv", "fn f(r: &Registry) { r.counter(\"kv.engine.gets\"); }\n");
         assert!(other.iter().all(|f| f.rule != "obs-naming"));
-        let traced =
-            lint("cluster", "fn f(r: &Registry) { r.trace(\"cluster.replication.pump\"); }\n");
+        let traced = lint(
+            "cluster",
+            "fn f(s: &TraceSink) { s.child_of(ctx, \"cluster.replication.deliver\"); }\n",
+        );
         assert!(traced.iter().all(|f| f.rule != "obs-naming"), "{traced:?}");
         // Malformed windowed-histogram names ride the same marker list.
         let bad = lint("chaos", "fn f(r: &Registry) { r.windowed_histogram(\"BadName\"); }\n");

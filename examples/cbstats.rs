@@ -81,8 +81,8 @@ fn main() {
     println!("\n== PROFILE SELECT COUNT(*) AS n FROM ycsb ==");
     println!("{}", cbs_json::print::to_json_pretty(&profiled.rows[0], 2));
 
-    // Freeze everything. `stats()` drains each registry's slow-op ring, so
-    // one snapshot owns the captured trace.
+    // Freeze everything. `stats()` copies the trace store's slow or failed
+    // traces, so this snapshot keeps the captured span trees.
     let stats = cluster.stats();
 
     println!("\n== topology ==");
@@ -210,7 +210,7 @@ fn main() {
 
     println!("\n== slow ops ({} captured) ==", stats.slow_ops.len());
     for op in stats.slow_ops.iter().rev().take(3) {
-        println!("[{}] {:.1?}", op.service, op.total);
+        println!("[t{:x}] {} {:.1?}", op.trace_id, op.root_name, op.total);
         print!("{}", op.render());
     }
 

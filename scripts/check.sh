@@ -24,7 +24,8 @@
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay and transactional
 #                                 chaos run; seed sweeps honor CHAOS_SEEDS=n
-#   7. full test suite            (skipped with --quick)
+#   7. full test suite            (skipped with --quick), plus the
+#                                 benchmark package's build + unit tests
 #   8. TSan / Miri subset         best-effort: requires nightly toolchain
 #                                 with rust-src / miri; skipped gracefully
 #                                 when the components are not installed.
@@ -200,6 +201,14 @@ if [ "$QUICK" -eq 1 ]; then
 fi
 
 run "full test suite" cargo test --quiet --workspace
+
+# Benchmark build gate: perfbench (the BENCHMARK.json harness) is its own
+# cargo package outside the workspace, so the workspace build never
+# compiles it — yet it reads crate APIs (`QueryResult::phases`,
+# `Cluster::trace_store()`, the `kv.engine.*` histograms). Build and unit-
+# test it here so an API change that breaks the benchmark fails the gate.
+run "perfbench build + unit tests" \
+    cargo test --quiet --release --manifest-path perfbench/Cargo.toml
 
 # Observability smoke: drive the cbstats example against a 2-node cluster
 # and assert the operator surface comes out populated — per-service op
