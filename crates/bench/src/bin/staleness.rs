@@ -2,13 +2,16 @@
 //! under seeded fault plans — the consistency companion to the fig15/16
 //! throughput figures.
 //!
-//! Replays the chaos harness's deterministic fault plans in *measure
-//! mode* ([`cbs_chaos::measure_staleness_sweep`]): instead of asserting
-//! that no stale read happens, it counts them and measures how stale
-//! they are, in logical ticks (time) and in seqno distance (data), split
-//! per workload phase (baseline, post-kill, post-failover, ...). Each
-//! profile pools a sweep of consecutive seeds so the per-phase `p_stale`
-//! is a probability, not a coin flip — one run holds one failover window.
+//! Runs the chaos harness in *measure mode*
+//! ([`cbs_chaos::measure_staleness_sweep`]): a real 3-node cluster driven
+//! single-threaded, with the seeded fault plan on its DCP pump and the
+//! pump stepped once every 3 workload ops instead of by its thread.
+//! Instead of asserting that no stale read happens, it counts them and
+//! measures how stale they are, in logical ticks (ops) and in seqno
+//! distance (data), split per workload phase (baseline, post-kill,
+//! post-failover, ...). Each profile pools a sweep of consecutive seeds so
+//! the per-phase `p_stale` is a probability, not a coin flip — one run
+//! holds one failover window.
 //!
 //! ```text
 //! cargo run -p cbs-bench --release --bin staleness

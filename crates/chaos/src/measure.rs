@@ -7,106 +7,58 @@
 //! stale read**, and how stale are they — in logical time and in seqno
 //! distance?
 //!
-//! The measurement runs the same seeded op mix as the live chaos workload
-//! ([`crate::run_chaos`]'s worker loop) and replays the same seeded
-//! [`FaultPlan`] delivery decisions and [`Schedule`] topology events, but
-//! against a **single-threaded logical simulation** of the cluster. A live
-//! multi-threaded run can never produce byte-identical numbers across
-//! machines — thread interleaving moves the pump relative to the workload.
-//! Here every delivery, failover and read happens at a deterministic
-//! logical tick, so the same seed always yields the same
-//! `BENCH_staleness_<profile>.json`, making staleness regressions
-//! diffable exactly like fig15/fig16 throughput regressions.
-//!
-//! What the simulation keeps from the real cluster: per-vBucket seqno
-//! assignment, per-replica in-order delivery with connection-reset drop
-//! semantics (a dropped item blocks the tail of its queue, retried next
-//! cycle with an incremented attempt — the same site identity the live
-//! pump feeds the plan), failover promoting the most-caught-up live
-//! replica and truncating the lost tail, and the rejoin/rebalance
-//! protocols resetting copies. Wall-clock timing maps onto the logical
-//! clock: a `Delay` decision holds the item (and, in-order, the tail
-//! behind it) for extra ticks derived from the seeded delay span, so
-//! jittery profiles measurably deepen replica lag. What it drops:
-//! cross-worker thread interleaving (workers are round-robined).
+//! A measured run drives a real [`Cluster`] single-threaded: the same
+//! seeded op mix as the live chaos workers (`WorkOp`) through a
+//! [`SmartClient`], the same topology events as the live coordinator
+//! (`fire_event`, background rebalances inline), and the bucket's real
+//! DCP pump with the seeded [`FaultPlan`] installed, stepped by
+//! [`Pump::cycle`] instead of its thread. A live multi-threaded run can
+//! never produce byte-identical numbers — thread interleaving moves the
+//! pump relative to the workload. Here the pump cycles once every
+//! [`PUMP_EVERY_OPS`] ops (and while a durable put waits for its observe),
+//! so the same seed always yields the same `BENCH_staleness_<profile>.json`
+//! and staleness regressions diff exactly like fig15/fig16 throughput
+//! regressions. A kill stops the dead active's stream at the next cycle,
+//! so failover loses whatever had not replicated yet: up to
+//! `PUMP_EVERY_OPS` ops of tail, plus any delivery a `Delay` still held.
 //!
 //! Every read is judged against the key's **most recently acked
-//! mutation**: observing an older seqno is a stale read, aged both in
-//! ticks since that ack and in seqno distance. Lost-but-acked writes that
-//! a later ack supersedes stop counting — that is the checker's
+//! mutation**: observing any other version is a stale read, aged both in
+//! ticks (ops) since that ack and in seqno distance. Lost-but-acked writes
+//! that a later ack supersedes stop counting — that is the checker's
 //! (lost-write) territory, not staleness.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use cbs_cluster::{FaultAction, FaultInjector};
-use cbs_common::{NodeId, SeqNo, VbId};
+use cbs_cluster::{Cluster, ClusterConfig, Durability, Pump, SmartClient};
+use cbs_common::Error;
+use cbs_kv::MutationResult;
 use cbs_obs::{Counter, Registry, WindowedHistogram};
 
-use crate::history::{Ack, History, HistoryRecorder, OpKind};
-use crate::mix_all;
+use crate::history::{History, HistoryRecorder};
 use crate::plan::FaultPlan;
-use crate::workload::{ChaosConfig, Schedule, TopoEvent, TopoKind, KILL_SALT, WORKLOAD_SALT};
+use crate::workload::{
+    connect, fire_event, ChaosConfig, Observed, Schedule, TopoKind, WorkOp, BUCKET,
+};
 
 /// Logical ticks (= workload ops) per staleness-age window. The windowed
 /// `chaos.staleness.age_*` histograms rotate on this logical clock, so a
 /// snapshot mid-run answers "how stale are reads *now*".
 pub const TICKS_PER_WINDOW: u64 = 128;
 
-/// In-flight replication latency in ticks: an item enqueued at tick `t`
-/// is deliverable from `t + REPL_LATENCY_TICKS`. The live pump acks the
-/// client from the active copy immediately while replica delivery rides a
-/// separate ~1 ms cadence; without a modeled latency the sim's replicas
-/// would be fresh at every instant and failover would never truncate
-/// anything. A durability observe ([`Sim::observe`]) waits this latency
-/// out, exactly like the blocking observe call in the live client.
-const REPL_LATENCY_TICKS: u64 = 3;
+/// The pump cycles once every `PUMP_EVERY_OPS` workload ops, before the
+/// op, so a mutation reaches its replicas 1 to 3 ops after its ack. This
+/// is the replication latency failover truncates: the live client acks
+/// from the active copy while the pump replicates on its ~1 ms cadence.
+pub const PUMP_EVERY_OPS: usize = 3;
 
-/// One copy of a vBucket's data: `key → (value, seqno)`, `None` value =
-/// tombstone (the seqno still orders it), plus the applied high seqno.
-#[derive(Debug, Clone, Default)]
-struct CopyState {
-    docs: HashMap<String, (Option<i64>, u64)>,
-    high: u64,
-}
-
-impl CopyState {
-    fn apply(&mut self, key: &str, value: Option<i64>, seqno: u64) {
-        if seqno > self.high {
-            self.high = seqno;
-            self.docs.insert(key.to_string(), (value, seqno));
-        }
-    }
-}
-
-/// An undelivered replication item for one replica (the site identity —
-/// vb, seqno, node, attempt — is exactly what the live pump hashes).
-#[derive(Debug)]
-struct Delivery {
-    key: String,
-    value: Option<i64>,
-    seqno: u64,
-    attempt: u32,
-    /// First tick the item can land on the replica (in-flight latency).
-    ready_at: u64,
-    /// A `Delay` fault already pushed `ready_at` once (the seeded decision
-    /// is a pure hash of the site, so it must not re-fire every cycle).
-    delayed: bool,
-}
-
-#[derive(Debug)]
-struct ReplicaSim {
-    node: u32,
-    copy: CopyState,
-    queue: VecDeque<Delivery>,
-}
-
-#[derive(Debug)]
-struct VbSim {
-    active_node: u32,
-    active: CopyState,
-    replicas: Vec<ReplicaSim>,
-}
+/// Pump cycles a durable put may spend waiting for its observe. A hold
+/// lasts at most ⌈max delay / 1 ms⌉ cycles and a site drops at most
+/// twice, so a live replica catches up well within it; a miss records the
+/// put non-durable, as the live worker records an observe timeout.
+const DURABLE_CYCLES: usize = 16;
 
 /// The key's most recently *acked* mutation (ack order, not seqno order:
 /// a later ack supersedes an earlier one even if the earlier one's seqno
@@ -115,6 +67,11 @@ struct VbSim {
 struct AckedWrite {
     tick: u64,
     seqno: u64,
+    /// The value written, `None` for a delete.
+    value: Option<i64>,
+    /// Seqno of the key's last acked delete (0 = none): the version a
+    /// not-found read is taken to have seen.
+    tombstone: u64,
 }
 
 /// Staleness numbers for one workload phase (the span between two
@@ -139,11 +96,15 @@ pub struct PhaseStaleness {
 impl PhaseStaleness {
     /// Probability a read in this phase was stale.
     pub fn p_stale(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.stale_reads as f64 / self.reads as f64
-        }
+        ratio(self.stale_reads, self.reads)
+    }
+}
+
+fn ratio(stale_reads: u64, reads: u64) -> f64 {
+    if reads == 0 {
+        0.0
+    } else {
+        stale_reads as f64 / reads as f64
     }
 }
 
@@ -156,7 +117,7 @@ pub struct StalenessOutcome {
     pub profile: String,
     /// Topology schedule name.
     pub schedule: String,
-    /// Total workload operations simulated.
+    /// Total workload operations run.
     pub ops: usize,
     /// Per-phase staleness breakdown, in schedule order.
     pub phases: Vec<PhaseStaleness>,
@@ -180,53 +141,65 @@ impl StalenessOutcome {
 
     /// Run-wide probability of a stale read.
     pub fn p_stale(&self) -> f64 {
-        let reads = self.reads();
-        if reads == 0 {
-            0.0
-        } else {
-            self.stale_reads() as f64 / reads as f64
-        }
+        ratio(self.stale_reads(), self.reads())
     }
 
-    /// The run as a `BENCH_staleness_<profile>.json` document. Built by
-    /// hand with fully determined field order and formatting: the same
-    /// seed must produce a byte-identical file.
+    /// The run as a `BENCH_staleness_<profile>.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"staleness\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        s.push_str(&format!("  \"schedule\": \"{}\",\n", self.schedule));
-        s.push_str(&format!("  \"ops\": {},\n", self.ops));
-        s.push_str(&format!("  \"reads\": {},\n", self.reads()));
-        s.push_str(&format!("  \"stale_reads\": {},\n", self.stale_reads()));
-        s.push_str(&format!("  \"p_stale\": {:.4},\n", self.p_stale()));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i + 1 < self.phases.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"reads\": {}, \"stale_reads\": {}, \
-                 \"p_stale\": {:.4}, \
-                 \"age_ticks\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}, \
-                 \"age_seqnos\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}}}{sep}\n",
-                p.phase,
-                p.reads,
-                p.stale_reads,
-                p.p_stale(),
-                p.age_ticks[0],
-                p.age_ticks[1],
-                p.age_ticks[2],
-                p.age_ticks[3],
-                p.age_seqnos[0],
-                p.age_seqnos[1],
-                p.age_seqnos[2],
-                p.age_seqnos[3],
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        bench_json(self.seed, None, &self.profile, &self.schedule, self.ops, &self.phases)
     }
+}
+
+/// A `BENCH_staleness_<profile>.json` document, built by hand with fully
+/// determined field order and formatting: the same config must produce a
+/// byte-identical file. `runs` is written for sweeps only.
+fn bench_json(
+    seed: u64,
+    runs: Option<u64>,
+    profile: &str,
+    schedule: &str,
+    ops: usize,
+    phases: &[PhaseStaleness],
+) -> String {
+    let reads: u64 = phases.iter().map(|p| p.reads).sum();
+    let stale_reads: u64 = phases.iter().map(|p| p.stale_reads).sum();
+    let mut s = String::new();
+    s.push_str("{\n");
+    s.push_str("  \"bench\": \"staleness\",\n");
+    s.push_str(&format!("  \"seed\": {seed},\n"));
+    if let Some(runs) = runs {
+        s.push_str(&format!("  \"runs\": {runs},\n"));
+    }
+    s.push_str(&format!("  \"profile\": \"{profile}\",\n"));
+    s.push_str(&format!("  \"schedule\": \"{schedule}\",\n"));
+    s.push_str(&format!("  \"ops\": {ops},\n"));
+    s.push_str(&format!("  \"reads\": {reads},\n"));
+    s.push_str(&format!("  \"stale_reads\": {stale_reads},\n"));
+    s.push_str(&format!("  \"p_stale\": {:.4},\n", ratio(stale_reads, reads)));
+    s.push_str("  \"phases\": [\n");
+    for (i, p) in phases.iter().enumerate() {
+        let sep = if i + 1 < phases.len() { "," } else { "" };
+        s.push_str(&format!(
+            "    {{\"phase\": \"{}\", \"reads\": {}, \"stale_reads\": {}, \
+             \"p_stale\": {:.4}, \
+             \"age_ticks\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}, \
+             \"age_seqnos\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}}}{sep}\n",
+            p.phase,
+            p.reads,
+            p.stale_reads,
+            p.p_stale(),
+            p.age_ticks[0],
+            p.age_ticks[1],
+            p.age_ticks[2],
+            p.age_ticks[3],
+            p.age_seqnos[0],
+            p.age_seqnos[1],
+            p.age_seqnos[2],
+            p.age_seqnos[3],
+        ));
+    }
+    s.push_str("  ]\n}\n");
+    s
 }
 
 /// Per-phase accumulator (exact nearest-rank percentiles from the full
@@ -288,253 +261,46 @@ fn label(kind: TopoKind, at: usize) -> String {
     format!("{name}@{at}")
 }
 
-struct Sim {
-    plan: Arc<FaultPlan>,
-    alive: Vec<bool>,
-    vbs: Vec<VbSim>,
+/// The key's active node when it is down. A single-threaded run cannot
+/// fail over mid-op, so the client's routing retries against a dead node
+/// (and their backoff sleeps) can only end in this error; measure mode
+/// records it without dispatching.
+fn active_down(cluster: &Cluster, client: &SmartClient, key: &str) -> Option<Error> {
+    let active = cluster.map(BUCKET).ok()?.active_node(client.vb_for_key(key));
+    (!cluster.node(active).ok()?.is_alive()).then_some(Error::NodeDown(active))
 }
 
-impl Sim {
-    fn new(cfg: &ChaosConfig, plan: Arc<FaultPlan>) -> Sim {
-        let nodes = cfg.nodes as u32;
-        let vbs = (0..cfg.vbuckets)
-            .map(|v| {
-                let active_node = u32::from(v) % nodes;
-                let replicas = (0..cfg.replicas)
-                    .map(|r| ReplicaSim {
-                        node: (u32::from(v) + 1 + u32::from(r)) % nodes,
-                        copy: CopyState::default(),
-                        queue: VecDeque::new(),
-                    })
-                    .collect();
-                VbSim { active_node, active: CopyState::default(), replicas }
-            })
-            .collect();
-        Sim { plan, alive: vec![true; cfg.nodes], vbs }
-    }
-
-    fn vb_for_key(&self, key: &str) -> usize {
-        (mix_all(&[0x7662_6d61 /* "vbma" */, key.len() as u64, hash_key(key)])
-            % self.vbs.len() as u64) as usize
-    }
-
-    /// Apply a mutation on the active copy; `None` when the active node is
-    /// down (the op fails). Queues the delivery to every replica.
-    fn mutate(&mut self, key: &str, value: Option<i64>, tick: u64) -> Option<(u16, u64)> {
-        let v = self.vb_for_key(key);
-        let vb = &mut self.vbs[v];
-        if !self.alive[vb.active_node as usize] {
-            return None;
-        }
-        let seqno = vb.active.high + 1;
-        vb.active.apply(key, value, seqno);
-        for r in &mut vb.replicas {
-            r.queue.push_back(Delivery {
-                key: key.to_string(),
-                value,
-                seqno,
-                attempt: 0,
-                ready_at: tick + REPL_LATENCY_TICKS,
-                delayed: false,
-            });
-        }
-        Some((v as u16, seqno))
-    }
-
-    /// Read through the active copy; `None` when the active node is down.
-    /// Returns the observed `(value, seqno)` (`(None, 0)` = key absent).
-    fn read(&self, key: &str) -> Option<(Option<i64>, u64)> {
-        let v = self.vb_for_key(key);
-        let vb = &self.vbs[v];
-        if !self.alive[vb.active_node as usize] {
-            return None;
-        }
-        Some(vb.active.docs.get(key).copied().unwrap_or((None, 0)))
-    }
-
-    /// One pump cycle at logical time `now`: in-order delivery of every
-    /// in-flight-complete item to every live replica of every vBucket with
-    /// a live active, consulting the fault plan per item. A `Drop` blocks
-    /// the rest of that replica's queue for the cycle (connection-reset
-    /// semantics) and bumps the site's attempt.
-    fn pump(&mut self, now: u64) {
-        for v in 0..self.vbs.len() {
-            self.pump_vb(v, now);
-        }
-    }
-
-    fn pump_vb(&mut self, v: usize, now: u64) {
-        let vb = &mut self.vbs[v];
-        if !self.alive[vb.active_node as usize] {
-            return;
-        }
-        for r in &mut vb.replicas {
-            if !self.alive[r.node as usize] {
-                continue;
+/// Measure mode's durability wait: cycle the pump until a zero-timeout
+/// observe passes, at most [`DURABLE_CYCLES`] times. Replication only: the
+/// flushers run on their own threads, so waiting on persistence would make
+/// the history timing-dependent.
+fn observe_stepped(
+    pump: &mut Pump,
+    client: &SmartClient,
+    key: &str,
+    m: MutationResult,
+    d: Durability,
+) -> bool {
+    let d = Durability { persist_to_master: false, ..d };
+    for _ in 0..DURABLE_CYCLES {
+        match client.observe(key, m, d, Duration::ZERO) {
+            Err(Error::Timeout(_)) => {
+                pump.cycle();
             }
-            while let Some(d) = r.queue.front_mut() {
-                if d.ready_at > now {
-                    break;
-                }
-                let action = self.plan.repl_delivery(
-                    VbId(v as u16),
-                    SeqNo(d.seqno),
-                    NodeId(r.node),
-                    d.attempt,
-                );
-                match action {
-                    FaultAction::Drop => {
-                        d.attempt += 1;
-                        break;
-                    }
-                    FaultAction::Delay(dur) if !d.delayed => {
-                        // Network delay: the item keeps its place in the
-                        // in-order stream but lands late, holding the tail
-                        // behind it. Extra ticks come from the seeded delay
-                        // duration, so the decision stays replayable.
-                        d.delayed = true;
-                        d.ready_at = now + 1 + (dur.as_micros() as u64 % REPL_LATENCY_TICKS);
-                        break;
-                    }
-                    FaultAction::Deliver | FaultAction::Delay(_) => {
-                        r.copy.apply(&d.key, d.value, d.seqno);
-                        r.queue.pop_front();
-                    }
-                    FaultAction::Duplicate => {
-                        r.copy.apply(&d.key, d.value, d.seqno);
-                        r.copy.apply(&d.key, d.value, d.seqno);
-                        r.queue.pop_front();
-                    }
-                }
-            }
+            done => return done.is_ok(),
         }
     }
-
-    /// Durability observe for `(vb, seqno)` at `tick`: block (= advance
-    /// logical time for this vBucket only) until every live replica has
-    /// applied it, bounded — the plan's per-site drop cap guarantees
-    /// progress. `false` when a replica is down or the bound is hit.
-    fn observe(&mut self, v: usize, seqno: u64, tick: u64) -> bool {
-        for wait in 0..(REPL_LATENCY_TICKS + 8) {
-            let vb = &self.vbs[v];
-            if vb.replicas.iter().any(|r| !self.alive[r.node as usize]) {
-                return false;
-            }
-            if vb.replicas.iter().all(|r| r.copy.high >= seqno) {
-                return true;
-            }
-            self.pump_vb(v, tick + wait);
-        }
-        self.vbs[v].replicas.iter().all(|r| r.copy.high >= seqno)
-    }
-
-    /// Mirror of the coordinator's kill policy: skip when already degraded
-    /// or below three live nodes, otherwise the seeded victim dies.
-    fn kill(&mut self, seed: u64, event_idx: usize) -> Option<u32> {
-        let live: Vec<u32> =
-            (0..self.alive.len() as u32).filter(|&n| self.alive[n as usize]).collect();
-        if live.len() < self.alive.len() || live.len() < 3 {
-            return None;
-        }
-        let victim =
-            live[(mix_all(&[seed, KILL_SALT, event_idx as u64]) % live.len() as u64) as usize];
-        self.alive[victim as usize] = false;
-        Some(victim)
-    }
-
-    /// Promote the most-caught-up live replica of every vBucket whose
-    /// active node is dead. The promoted copy's missing tail is lost —
-    /// this is where staleness comes from.
-    fn failover_dead(&mut self) -> usize {
-        let mut promoted = 0;
-        for vb in &mut self.vbs {
-            if self.alive[vb.active_node as usize] {
-                continue;
-            }
-            let Some(best) = vb
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| self.alive[r.node as usize])
-                .max_by_key(|(i, r)| (r.copy.high, usize::MAX - i))
-                .map(|(i, _)| i)
-            else {
-                continue; // no live replica: the vBucket stays down
-            };
-            vb.active = vb.replicas[best].copy.clone();
-            vb.active_node = vb.replicas[best].node;
-            vb.replicas[best].queue.clear();
-            promoted += 1;
-        }
-        promoted
-    }
-
-    /// Rejoin protocol: revived nodes come back with their replica copies
-    /// rebuilt from the current actives (the live pump's backfill,
-    /// compressed to one logical step).
-    fn revive_all(&mut self) -> Vec<u32> {
-        let revived: Vec<u32> =
-            (0..self.alive.len() as u32).filter(|&n| !self.alive[n as usize]).collect();
-        for &n in &revived {
-            self.alive[n as usize] = true;
-        }
-        for vb in &mut self.vbs {
-            if !self.alive[vb.active_node as usize] {
-                continue;
-            }
-            for r in &mut vb.replicas {
-                if revived.contains(&r.node) {
-                    r.copy = vb.active.clone();
-                    r.queue.clear();
-                }
-            }
-        }
-        revived
-    }
-
-    fn add_node(&mut self) -> u32 {
-        self.alive.push(true);
-        self.alive.len() as u32 - 1
-    }
-
-    /// Rebalance to the balanced layout over live nodes: copies move
-    /// without loss, every replica finishes backfilled and in sync.
-    fn rebalance(&mut self) {
-        let live: Vec<u32> =
-            (0..self.alive.len() as u32).filter(|&n| self.alive[n as usize]).collect();
-        if live.is_empty() {
-            return;
-        }
-        for (v, vb) in self.vbs.iter_mut().enumerate() {
-            if !self.alive[vb.active_node as usize] {
-                continue; // nothing authoritative to move
-            }
-            vb.active_node = live[v % live.len()];
-            for (r, replica) in vb.replicas.iter_mut().enumerate() {
-                replica.node = live[(v + 1 + r) % live.len()];
-                replica.copy = vb.active.clone();
-                replica.queue.clear();
-            }
-        }
-    }
+    client.observe(key, m, d, Duration::ZERO).is_ok()
 }
 
-/// Stable key hash for vBucket assignment (the sim's stand-in for the
-/// smart client's CRC32 mapping).
-fn hash_key(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One full simulated run: per-phase accumulators (raw samples kept so
-/// callers can pool runs), the op/event history, and the metrics registry.
-fn simulate(cfg: &ChaosConfig) -> (Vec<PhaseAcc>, History, Arc<Registry>) {
+/// One measured run: per-phase accumulators (raw samples kept so callers
+/// can pool runs), the op/event history, and the metrics registry.
+fn measure_run(cfg: &ChaosConfig) -> (Vec<PhaseAcc>, History, Arc<Registry>) {
     let plan = FaultPlan::new(cfg.profile.spec(cfg.seed));
-    let mut sim = Sim::new(cfg, plan);
+    let ccfg = ClusterConfig::for_chaos(cfg.vbuckets, cfg.replicas, plan);
+    let cluster = Cluster::homogeneous(cfg.nodes, ccfg);
+    let mut pump = cluster.create_bucket_stepped(BUCKET).expect("create chaos bucket");
+    let mut client = connect(&cluster).expect("connect to the chaos bucket");
     let rec = HistoryRecorder::new();
     let schedule = Schedule::by_name(&cfg.schedule, cfg.seed, cfg.ops);
 
@@ -543,7 +309,7 @@ fn simulate(cfg: &ChaosConfig) -> (Vec<PhaseAcc>, History, Arc<Registry>) {
         .counter_with_help("chaos.staleness.reads", "Reads judged for staleness in measure mode");
     let stale_ctr: Arc<Counter> = registry.counter_with_help(
         "chaos.staleness.stale_reads",
-        "Reads that observed an older seqno than the key's last acked mutation",
+        "Reads that observed an older version than the key's last acked mutation",
     );
     let age_ticks_h: Arc<WindowedHistogram> = registry.windowed_histogram_with_help(
         "chaos.staleness.age_ticks",
@@ -558,207 +324,77 @@ fn simulate(cfg: &ChaosConfig) -> (Vec<PhaseAcc>, History, Arc<Registry>) {
     let mut acked: HashMap<String, AckedWrite> = HashMap::new();
     let mut phases: Vec<PhaseAcc> = Vec::new();
     let mut acc = PhaseAcc::new("baseline".to_string());
-    let mut events: &[TopoEvent] = &schedule.events;
-    let mut event_idx = 0usize;
-    let mut worker_op: Vec<u64> = vec![0; cfg.workers.max(1)];
-    let keys: Vec<Vec<String>> = (0..cfg.workers.max(1))
+    let mut events = schedule.events.iter().enumerate().peekable();
+    let workers = cfg.workers.max(1);
+    let mut worker_op: Vec<u64> = vec![0; workers];
+    let keys: Vec<Vec<String>> = (0..workers)
         .map(|w| (0..cfg.keys_per_worker).map(|i| format!("w{w}k{i}")).collect())
         .collect();
 
     for op in 0..cfg.ops {
         // Fire due topology events; each one closes the current phase.
-        while let Some(ev) = events.first() {
-            if ev.at > op {
-                break;
-            }
+        while let Some((i, ev)) = events.next_if(|(_, ev)| ev.at <= op) {
             phases.push(std::mem::replace(&mut acc, PhaseAcc::new(label(ev.kind, ev.at))));
-            match ev.kind {
-                TopoKind::Kill => match sim.kill(cfg.seed, event_idx) {
-                    Some(n) => rec.event(format!("kill node {n}"), false),
-                    None => rec.event("kill skipped (cluster already degraded)", false),
-                },
-                TopoKind::FailoverDead => {
-                    let n = sim.failover_dead();
-                    rec.event(format!("failover promoted {n} vbuckets"), true);
-                }
-                TopoKind::ReviveAll => {
-                    for n in sim.revive_all() {
-                        rec.event(format!("revive node {n} (rejoin protocol)"), false);
-                    }
-                }
-                TopoKind::AddNode => {
-                    let n = sim.add_node();
-                    rec.event(format!("add node {n}"), false);
-                }
-                TopoKind::Rebalance { .. } => {
-                    sim.rebalance();
-                    rec.event("rebalance: ok", false);
-                }
-            }
-            event_idx += 1;
-            events = &events[1..];
+            fire_event(&cluster, &rec, ev.kind, cfg.seed, i);
+            // The map-update push the live workers get after every event.
+            client = connect(&cluster).expect("connect to the chaos bucket");
+        }
+        if op % PUMP_EVERY_OPS == 0 {
+            pump.cycle();
         }
 
         let tick = op as u64 + 1;
         age_ticks_h.advance_to(tick / TICKS_PER_WINDOW);
         age_seqnos_h.advance_to(tick / TICKS_PER_WINDOW);
 
-        // Same seeded op mix as the live worker loop.
-        let w = op % cfg.workers.max(1);
-        let h = mix_all(&[cfg.seed, WORKLOAD_SALT, w as u64, worker_op[w]]);
+        // Workers take turns, each drawing its own seeded op sequence.
+        let w = op % workers;
+        let work = WorkOp::pick(cfg, w, worker_op[w], &keys[w]);
         worker_op[w] += 1;
-        let key = &keys[w][((h >> 32) as usize) % keys[w].len()];
-        let value = ((w as i64 + 1) << 40) | (worker_op[w] as i64);
-        let roll = h % 100;
+        let seen = match active_down(&cluster, &client, work.key) {
+            Some(e) => {
+                work.fail(&rec, &e);
+                Observed::default()
+            }
+            None => {
+                work.run(&client, &rec, |c, m, d| observe_stepped(&mut pump, c, work.key, m, d))
+            }
+        };
 
-        let judge_read = |observed: Option<(Option<i64>, u64)>,
-                          acked: &HashMap<String, AckedWrite>,
-                          acc: &mut PhaseAcc| {
-            let Some((_, seq)) = observed else { return };
+        if let Some((value, seqno)) = seen.read {
             acc.reads += 1;
             reads_ctr.inc();
-            let Some(last) = acked.get(key) else { return };
-            if seq < last.seqno {
+            if let Some(last) = acked.get(work.key).filter(|last| last.value != value) {
+                let seen_seqno = if value.is_some() { seqno } else { last.tombstone };
+                let age_t = tick.saturating_sub(last.tick);
+                let age_s = last.seqno.saturating_sub(seen_seqno);
                 acc.stale_reads += 1;
                 stale_ctr.inc();
-                let age_t = tick.saturating_sub(last.tick);
-                let age_s = last.seqno - seq;
                 acc.ticks.push(age_t);
                 acc.seqnos.push(age_s);
                 age_ticks_h.record_nanos(age_t);
                 age_seqnos_h.record_nanos(age_s);
             }
-        };
-
-        if roll < 40 {
-            // Plain upsert.
-            let invoked = rec.tick();
-            match sim.mutate(key, Some(value), tick) {
-                Some((vb, seqno)) => {
-                    acked.insert(key.clone(), AckedWrite { tick, seqno });
-                    rec.record(
-                        key,
-                        OpKind::Put { value, durable: false },
-                        invoked,
-                        Ack::Ok { vb, seqno, observed: Some(value) },
-                    );
-                }
-                None => rec.record(
-                    key,
-                    OpKind::Put { value, durable: false },
-                    invoked,
-                    Ack::Failed("active node down".to_string()),
-                ),
-            }
-        } else if roll < 50 {
-            // CAS round-trip: read, then conditional write (single-writer
-            // keys, so the CAS itself always succeeds when the node is up).
-            let invoked = rec.tick();
-            let observed = sim.read(key);
-            match observed {
-                Some((val, _)) => {
-                    judge_read(observed, &acked, &mut acc);
-                    rec.record(
-                        key,
-                        OpKind::Get,
-                        invoked,
-                        Ack::Ok { vb: sim.vb_for_key(key) as u16, seqno: 0, observed: val },
-                    );
-                    let invoked2 = rec.tick();
-                    match sim.mutate(key, Some(value), tick) {
-                        Some((vb, seqno)) => {
-                            acked.insert(key.clone(), AckedWrite { tick, seqno });
-                            rec.record(
-                                key,
-                                OpKind::Put { value, durable: false },
-                                invoked2,
-                                Ack::Ok { vb, seqno, observed: Some(value) },
-                            );
-                        }
-                        None => rec.record(
-                            key,
-                            OpKind::Put { value, durable: false },
-                            invoked2,
-                            Ack::Failed("active node down".to_string()),
-                        ),
-                    }
-                }
-                None => rec.record(
-                    key,
-                    OpKind::Get,
-                    invoked,
-                    Ack::Failed("active node down".to_string()),
-                ),
-            }
-        } else if roll < 65 {
-            // Durable put: the ack waits for replication to every replica.
-            let invoked = rec.tick();
-            match sim.mutate(key, Some(value), tick) {
-                Some((vb, seqno)) => {
-                    let durable = sim.observe(vb as usize, seqno, tick);
-                    acked.insert(key.clone(), AckedWrite { tick, seqno });
-                    rec.record(
-                        key,
-                        OpKind::Put { value, durable },
-                        invoked,
-                        Ack::Ok { vb, seqno, observed: Some(value) },
-                    );
-                }
-                None => rec.record(
-                    key,
-                    OpKind::Put { value, durable: false },
-                    invoked,
-                    Ack::Failed("active node down".to_string()),
-                ),
-            }
-        } else if roll < 85 {
-            // Read.
-            let invoked = rec.tick();
-            let observed = sim.read(key);
-            judge_read(observed, &acked, &mut acc);
-            match observed {
-                Some((val, _)) => rec.record(
-                    key,
-                    OpKind::Get,
-                    invoked,
-                    Ack::Ok { vb: sim.vb_for_key(key) as u16, seqno: 0, observed: val },
-                ),
-                None => rec.record(
-                    key,
-                    OpKind::Get,
-                    invoked,
-                    Ack::Failed("active node down".to_string()),
-                ),
-            }
-        } else {
-            // Delete.
-            let invoked = rec.tick();
-            match sim.mutate(key, None, tick) {
-                Some((vb, seqno)) => {
-                    acked.insert(key.clone(), AckedWrite { tick, seqno });
-                    rec.record(key, OpKind::Delete, invoked, Ack::Ok { vb, seqno, observed: None });
-                }
-                None => rec.record(
-                    key,
-                    OpKind::Delete,
-                    invoked,
-                    Ack::Failed("active node down".to_string()),
-                ),
-            }
         }
-
-        // Replication pump cycle: in-flight items past their latency land.
-        sim.pump(tick);
+        if let Some((value, seqno)) = seen.acked {
+            let prior = acked.get(work.key).map_or(0, |last| last.tombstone);
+            let tombstone = if value.is_none() { seqno } else { prior };
+            acked.insert(work.key.to_string(), AckedWrite { tick, seqno, value, tombstone });
+        }
     }
     phases.push(acc);
+    // Every measured run builds a real cluster on disk; leave nothing behind.
+    let data_root = cluster.config().data_root.clone();
+    drop((pump, client, cluster));
+    let _ = std::fs::remove_dir_all(data_root);
 
     (phases, rec.finish(), registry)
 }
 
-/// Run measure mode: simulate `cfg` deterministically and return the
+/// Run measure mode: drive `cfg` deterministically and return the
 /// per-phase staleness numbers, history, and `chaos.staleness.*` metrics.
 pub fn measure_staleness(cfg: &ChaosConfig) -> StalenessOutcome {
-    let (accs, history, registry) = simulate(cfg);
+    let (accs, history, registry) = measure_run(cfg);
     StalenessOutcome {
         seed: cfg.seed,
         profile: cfg.profile.name().to_string(),
@@ -808,53 +444,14 @@ impl StalenessSweep {
 
     /// Sweep-wide probability of a stale read.
     pub fn p_stale(&self) -> f64 {
-        let reads = self.reads();
-        if reads == 0 {
-            0.0
-        } else {
-            self.stale_reads() as f64 / reads as f64
-        }
+        ratio(self.stale_reads(), self.reads())
     }
 
-    /// The sweep as a `BENCH_staleness_<profile>.json` document — same
-    /// deterministic hand-built format as [`StalenessOutcome::to_json`],
-    /// plus the `runs` field.
+    /// The sweep as a `BENCH_staleness_<profile>.json` document, with the
+    /// `runs` field.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"staleness\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"runs\": {},\n", self.runs));
-        s.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        s.push_str(&format!("  \"schedule\": \"{}\",\n", self.schedule));
-        s.push_str(&format!("  \"ops\": {},\n", self.ops));
-        s.push_str(&format!("  \"reads\": {},\n", self.reads()));
-        s.push_str(&format!("  \"stale_reads\": {},\n", self.stale_reads()));
-        s.push_str(&format!("  \"p_stale\": {:.4},\n", self.p_stale()));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i + 1 < self.phases.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"reads\": {}, \"stale_reads\": {}, \
-                 \"p_stale\": {:.4}, \
-                 \"age_ticks\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}, \
-                 \"age_seqnos\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}}}{sep}\n",
-                p.phase,
-                p.reads,
-                p.stale_reads,
-                p.p_stale(),
-                p.age_ticks[0],
-                p.age_ticks[1],
-                p.age_ticks[2],
-                p.age_ticks[3],
-                p.age_seqnos[0],
-                p.age_seqnos[1],
-                p.age_seqnos[2],
-                p.age_seqnos[3],
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let runs = Some(self.runs);
+        bench_json(self.seed, runs, &self.profile, &self.schedule, self.ops, &self.phases)
     }
 }
 
@@ -869,7 +466,7 @@ pub fn measure_staleness_sweep(cfg: &ChaosConfig, runs: u64) -> StalenessSweep {
     for i in 0..runs {
         let mut c = cfg.clone();
         c.seed = cfg.seed.wrapping_add(i);
-        let (accs, _, _) = simulate(&c);
+        let (accs, _, _) = measure_run(&c);
         match &mut agg {
             None => agg = Some(accs),
             Some(agg) => {
@@ -996,6 +593,21 @@ mod tests {
         assert_eq!(sweep.phases.len(), 3, "phases are structural across seeds");
         // Replay contract: same (cfg, runs) ⇒ byte-identical JSON.
         assert_eq!(sweep.to_json(), measure_staleness_sweep(&cfg(0), 8).to_json());
+    }
+
+    #[test]
+    fn measured_histories_are_legal() {
+        for profile in [Profile::Quiet, Profile::Lossy, Profile::Jittery] {
+            for s in 0..8u64 {
+                let c = ChaosConfig { profile, ..cfg(s) };
+                let violations = crate::check_history(&measure_staleness(&c).history);
+                assert!(
+                    violations.is_empty(),
+                    "measured history of seed {s}, profile {} breaks the checker: {violations:?}",
+                    profile.name(),
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,11 @@ pub struct FaultSpec {
     /// pump tears its streams down and redelivers from the replicas' high
     /// seqnos).
     pub drop_pct: u8,
-    /// Chance a replication delivery is delayed before applying.
+    /// Chance a replication delivery is delayed. The pump holds that
+    /// destination's tail, in order, for ⌈delay / 1 ms⌉ pump cycles
+    /// (`cbs_cluster::replication::IDLE_SLEEP` per cycle) while other
+    /// destinations keep flowing; a stream rebuild discards the hold and
+    /// redelivers.
     pub delay_pct: u8,
     /// Chance a replication delivery is applied twice (dedup exercise).
     pub dup_pct: u8,

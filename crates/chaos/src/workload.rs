@@ -12,7 +12,7 @@ use std::time::Duration;
 use cbs_cluster::{Cluster, ClusterConfig, Durability, ServiceSet, SmartClient};
 use cbs_common::{Cas, Error, NodeId, VbId};
 use cbs_json::Value;
-use cbs_kv::VbState;
+use cbs_kv::{MutationResult, VbState};
 
 use crate::checker::{check_cluster, check_history, Violation};
 use crate::history::{Ack, HistoryRecorder, OpKind};
@@ -22,8 +22,8 @@ use crate::plan::{FaultPlan, FaultSpec};
 /// Bucket every chaos run uses.
 pub const BUCKET: &str = "chaos";
 
-pub(crate) const WORKLOAD_SALT: u64 = 0x776f_726b; // "work"
-pub(crate) const KILL_SALT: u64 = 0x6b69_6c6c; // "kill"
+const WORKLOAD_SALT: u64 = 0x776f_726b; // "work"
+const KILL_SALT: u64 = 0x6b69_6c6c; // "kill"
 
 /// Named fault-intensity profile (replayable by name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,7 +366,7 @@ fn classify_mutation_err(e: &Error) -> Ack {
     }
 }
 
-fn connect(cluster: &Arc<Cluster>) -> Option<SmartClient> {
+pub(crate) fn connect(cluster: &Arc<Cluster>) -> Option<SmartClient> {
     SmartClient::connect(Arc::clone(cluster), BUCKET).ok()
 }
 
@@ -542,12 +542,8 @@ fn worker_loop(
         }
         let Some(client) = client.as_ref() else { continue };
 
-        let h = mix_all(&[cfg.seed, WORKLOAD_SALT, w as u64, op_i]);
+        let op = WorkOp::pick(cfg, w, op_i, &keys);
         op_i += 1;
-        let key = &keys[((h >> 32) as usize) % keys.len()];
-        let value = ((w as i64 + 1) << 40) | (op_i as i64);
-        let vb = client.vb_for_key(key).0;
-        let roll = h % 100;
         // Stable-topology window for durability claims: if any topology
         // event overlaps this op, the observe may have judged replication
         // against a mid-transition replica set, so the ack is recorded
@@ -555,123 +551,150 @@ fn worker_loop(
         // it).
         let gen0 = gen.load(Ordering::SeqCst);
         let busy0 = busy.load(Ordering::SeqCst);
-        let invoked = rec.tick();
+        op.run(client, rec, |client, m, durability| {
+            client.observe(op.key, m, durability, observe_timeout).is_ok()
+                && busy0 == 0
+                && busy.load(Ordering::SeqCst) == 0
+                && gen.load(Ordering::SeqCst) == gen0
+        });
+    }
+}
 
-        if roll < 40 {
-            // Plain upsert.
-            match client.upsert(key, Value::int(value)) {
-                Ok(m) => rec.record(
-                    key,
-                    OpKind::Put { value, durable: false },
-                    invoked,
-                    Ack::Ok { vb: m.vb.0, seqno: m.seqno.0, observed: Some(value) },
-                ),
-                Err(e) => rec.record(
-                    key,
-                    OpKind::Put { value, durable: false },
-                    invoked,
-                    classify_mutation_err(&e),
-                ),
-            }
-        } else if roll < 50 {
-            // CAS round-trip: read, then conditional write.
-            match client.get(key) {
-                Ok(r) => {
-                    rec.record(
-                        key,
-                        OpKind::Get,
-                        invoked,
-                        Ack::Ok { vb, seqno: 0, observed: r.value.as_i64() },
-                    );
-                    let invoked2 = rec.tick();
-                    match client.replace(key, Value::int(value), r.meta.cas) {
-                        Ok(m) => rec.record(
-                            key,
-                            OpKind::Put { value, durable: false },
-                            invoked2,
-                            Ack::Ok { vb: m.vb.0, seqno: m.seqno.0, observed: Some(value) },
-                        ),
-                        Err(e) => rec.record(
-                            key,
-                            OpKind::Put { value, durable: false },
-                            invoked2,
-                            classify_mutation_err(&e),
-                        ),
+/// The workload's op mix.
+#[derive(Debug, Clone, Copy)]
+enum Mix {
+    Upsert,
+    /// Read, then a conditional write.
+    Cas,
+    /// Upsert, then wait for this durability.
+    Durable(Durability),
+    Read,
+    Delete,
+}
+
+/// One workload operation, a pure function of `(seed, worker, op index)`:
+/// the live workers and chaos measure mode draw the same sequence.
+pub(crate) struct WorkOp<'k> {
+    pub(crate) key: &'k str,
+    value: i64,
+    mix: Mix,
+}
+
+/// What a completed [`WorkOp`] saw, for callers that judge it.
+#[derive(Debug, Default)]
+pub(crate) struct Observed {
+    /// A successful read: the value (`None` = not found) and its seqno (0
+    /// when not found).
+    pub(crate) read: Option<(Option<i64>, u64)>,
+    /// An acked mutation: the value written (`None` = delete) and its
+    /// seqno.
+    pub(crate) acked: Option<(Option<i64>, u64)>,
+}
+
+impl<'k> WorkOp<'k> {
+    /// Worker `w`'s `op_i`-th op over its key set.
+    pub(crate) fn pick(cfg: &ChaosConfig, w: usize, op_i: u64, keys: &'k [String]) -> WorkOp<'k> {
+        let h = mix_all(&[cfg.seed, WORKLOAD_SALT, w as u64, op_i]);
+        let mix = match h % 100 {
+            0..=39 => Mix::Upsert,
+            40..=49 => Mix::Cas,
+            // Ack waits for replication to every replica (and sometimes
+            // persistence on the active).
+            50..=64 => Mix::Durable(Durability {
+                replicate_to: cfg.replicas,
+                persist_to_master: h & (1 << 7) != 0,
+            }),
+            65..=84 => Mix::Read,
+            _ => Mix::Delete,
+        };
+        WorkOp {
+            key: &keys[((h >> 32) as usize) % keys.len()],
+            value: ((w as i64 + 1) << 40) | (op_i as i64 + 1),
+            mix,
+        }
+    }
+
+    /// Run the op through `client`, recording it in `rec`. A durable put's
+    /// ack is durable iff `durable` accepts the mutation.
+    pub(crate) fn run(
+        &self,
+        client: &SmartClient,
+        rec: &HistoryRecorder,
+        durable: impl FnOnce(&SmartClient, MutationResult, Durability) -> bool,
+    ) -> Observed {
+        let (key, value) = (self.key, self.value);
+        let vb = client.vb_for_key(key).0;
+        let put = OpKind::Put { value, durable: false };
+        let mut seen = Observed::default();
+        let mut acked = |m: &MutationResult, written: Option<i64>| {
+            seen.acked = Some((written, m.seqno.0));
+            Ack::Ok { vb: m.vb.0, seqno: m.seqno.0, observed: written }
+        };
+        let invoked = rec.tick();
+        match self.mix {
+            Mix::Upsert => match client.upsert(key, Value::int(value)) {
+                Ok(m) => rec.record(key, put, invoked, acked(&m, Some(value))),
+                Err(e) => rec.record(key, put, invoked, classify_mutation_err(&e)),
+            },
+            Mix::Cas => {
+                let (observed, cas) = match client.get(key) {
+                    Ok(r) => (r.value.as_i64(), Some((r.meta.cas, r.meta.seqno.0))),
+                    Err(Error::KeyNotFound(_)) => (None, None),
+                    Err(e) => {
+                        rec.record(key, OpKind::Get, invoked, Ack::Failed(format!("{e}")));
+                        return seen;
                     }
+                };
+                rec.record(key, OpKind::Get, invoked, Ack::Ok { vb, seqno: 0, observed });
+                let invoked2 = rec.tick();
+                let written = match cas {
+                    Some((cas, _)) => client.replace(key, Value::int(value), cas),
+                    None => client.insert(key, Value::int(value)),
+                };
+                let ack = match written {
+                    Ok(m) => acked(&m, Some(value)),
+                    Err(e) => classify_mutation_err(&e),
+                };
+                rec.record(key, put, invoked2, ack);
+                seen.read = Some((observed, cas.map_or(0, |(_, seqno)| seqno)));
+            }
+            Mix::Durable(durability) => match client.upsert(key, Value::int(value)) {
+                Ok(m) => {
+                    let ack = acked(&m, Some(value));
+                    let durable = durable(client, m, durability);
+                    rec.record(key, OpKind::Put { value, durable }, invoked, ack);
+                }
+                Err(e) => rec.record(key, put, invoked, classify_mutation_err(&e)),
+            },
+            Mix::Read => match client.get(key) {
+                Ok(r) => {
+                    let observed = r.value.as_i64();
+                    rec.record(key, OpKind::Get, invoked, Ack::Ok { vb, seqno: 0, observed });
+                    seen.read = Some((observed, r.meta.seqno.0));
                 }
                 Err(Error::KeyNotFound(_)) => {
                     rec.record(key, OpKind::Get, invoked, Ack::Ok { vb, seqno: 0, observed: None });
-                    let invoked2 = rec.tick();
-                    match client.insert(key, Value::int(value)) {
-                        Ok(m) => rec.record(
-                            key,
-                            OpKind::Put { value, durable: false },
-                            invoked2,
-                            Ack::Ok { vb: m.vb.0, seqno: m.seqno.0, observed: Some(value) },
-                        ),
-                        Err(e) => rec.record(
-                            key,
-                            OpKind::Put { value, durable: false },
-                            invoked2,
-                            classify_mutation_err(&e),
-                        ),
-                    }
-                }
-                Err(e) => {
-                    rec.record(key, OpKind::Get, invoked, Ack::Failed(format!("{e}")));
-                }
-            }
-        } else if roll < 65 {
-            // Durable put: ack waits for replication to every replica
-            // (and sometimes persistence on the active).
-            let durability =
-                Durability { replicate_to: cfg.replicas, persist_to_master: h & (1 << 7) != 0 };
-            match client.upsert(key, Value::int(value)) {
-                Ok(m) => {
-                    let observed_ok = client.observe(key, m, durability, observe_timeout).is_ok();
-                    let stable = busy0 == 0
-                        && busy.load(Ordering::SeqCst) == 0
-                        && gen.load(Ordering::SeqCst) == gen0;
-                    rec.record(
-                        key,
-                        OpKind::Put { value, durable: observed_ok && stable },
-                        invoked,
-                        Ack::Ok { vb: m.vb.0, seqno: m.seqno.0, observed: Some(value) },
-                    );
-                }
-                Err(e) => rec.record(
-                    key,
-                    OpKind::Put { value, durable: false },
-                    invoked,
-                    classify_mutation_err(&e),
-                ),
-            }
-        } else if roll < 85 {
-            // Read.
-            match client.get(key) {
-                Ok(r) => rec.record(
-                    key,
-                    OpKind::Get,
-                    invoked,
-                    Ack::Ok { vb, seqno: 0, observed: r.value.as_i64() },
-                ),
-                Err(Error::KeyNotFound(_)) => {
-                    rec.record(key, OpKind::Get, invoked, Ack::Ok { vb, seqno: 0, observed: None })
+                    seen.read = Some((None, 0));
                 }
                 Err(e) => rec.record(key, OpKind::Get, invoked, Ack::Failed(format!("{e}"))),
-            }
-        } else {
-            // Delete.
-            match client.remove(key, Cas::WILDCARD) {
-                Ok(m) => rec.record(
-                    key,
-                    OpKind::Delete,
-                    invoked,
-                    Ack::Ok { vb: m.vb.0, seqno: m.seqno.0, observed: None },
-                ),
+            },
+            Mix::Delete => match client.remove(key, Cas::WILDCARD) {
+                Ok(m) => rec.record(key, OpKind::Delete, invoked, acked(&m, None)),
                 Err(e) => rec.record(key, OpKind::Delete, invoked, classify_mutation_err(&e)),
-            }
+            },
         }
+        seen
+    }
+
+    /// Record the op as failed with `e` before reaching any node: what the
+    /// client would report after exhausting its routing retries.
+    pub(crate) fn fail(&self, rec: &HistoryRecorder, e: &Error) {
+        let kind = match self.mix {
+            Mix::Upsert | Mix::Durable(_) => OpKind::Put { value: self.value, durable: false },
+            Mix::Cas | Mix::Read => OpKind::Get,
+            Mix::Delete => OpKind::Delete,
+        };
+        rec.record(self.key, kind, rec.tick(), Ack::Failed(format!("{e}")));
     }
 }
 
@@ -697,65 +720,77 @@ fn coordinator_loop(
         }
         gen.fetch_add(1, Ordering::SeqCst);
         busy.fetch_add(1, Ordering::SeqCst);
-        match ev.kind {
-            TopoKind::Kill => {
-                let alive: Vec<NodeId> = cluster
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.is_alive() && n.services().data)
-                    .map(|n| n.id())
-                    .collect();
-                let any_dead = cluster.nodes().iter().any(|n| !n.is_alive());
-                if any_dead || alive.len() < 3 {
-                    rec.event("kill skipped (cluster already degraded)", false);
-                } else {
-                    let victim = alive
-                        [(mix_all(&[seed, KILL_SALT, i as u64]) % alive.len() as u64) as usize];
-                    if let Ok(node) = cluster.node(victim) {
-                        node.kill();
-                        rec.event(format!("kill node {}", victim.0), false);
-                    }
-                }
-            }
-            TopoKind::FailoverDead => {
-                failover_dead(cluster, rec);
-            }
-            TopoKind::ReviveAll => {
-                for node in cluster.nodes() {
-                    if !node.is_alive() {
-                        revive_clean(cluster, &node);
-                        rec.event(format!("revive node {} (rejoin protocol)", node.id().0), false);
-                    }
-                }
-            }
-            TopoKind::AddNode => match cluster.add_node(ServiceSet::all()) {
-                Ok(id) => rec.event(format!("add node {}", id.0), false),
-                Err(e) => rec.event(format!("add node failed: {e}"), false),
-            },
-            TopoKind::Rebalance { background: false } => {
+        if ev.kind == (TopoKind::Rebalance { background: true }) {
+            rec.event("rebalance (background) begin", false);
+            let cluster = Arc::clone(cluster);
+            let rec2 = Arc::clone(rec);
+            let gen2 = Arc::clone(gen);
+            let busy2 = Arc::clone(busy);
+            busy2.fetch_add(1, Ordering::SeqCst);
+            bg.push(std::thread::spawn(move || {
                 let r = cluster.rebalance(&[]);
-                rec.event(format!("rebalance: {}", outcome_str(&r)), false);
-            }
-            TopoKind::Rebalance { background: true } => {
-                rec.event("rebalance (background) begin", false);
-                let cluster = Arc::clone(cluster);
-                let rec2 = Arc::clone(rec);
-                let gen2 = Arc::clone(gen);
-                let busy2 = Arc::clone(busy);
-                busy2.fetch_add(1, Ordering::SeqCst);
-                bg.push(std::thread::spawn(move || {
-                    let r = cluster.rebalance(&[]);
-                    rec2.event(format!("rebalance (background): {}", outcome_str(&r)), false);
-                    busy2.fetch_sub(1, Ordering::SeqCst);
-                    gen2.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
+                rec2.event(format!("rebalance (background): {}", outcome_str(&r)), false);
+                busy2.fetch_sub(1, Ordering::SeqCst);
+                gen2.fetch_add(1, Ordering::SeqCst);
+            }));
+        } else {
+            fire_event(cluster, rec, ev.kind, seed, i);
         }
         busy.fetch_sub(1, Ordering::SeqCst);
         gen.fetch_add(1, Ordering::SeqCst);
     }
     for h in bg {
         let _ = h.join();
+    }
+}
+
+/// Fire the `i`-th scheduled topology event. The coordinator calls this
+/// for everything but background rebalances, which it runs on their own
+/// thread; measure mode calls it for every event, inline.
+pub(crate) fn fire_event(
+    cluster: &Arc<Cluster>,
+    rec: &HistoryRecorder,
+    kind: TopoKind,
+    seed: u64,
+    i: usize,
+) {
+    match kind {
+        TopoKind::Kill => {
+            let alive: Vec<NodeId> = cluster
+                .nodes()
+                .iter()
+                .filter(|n| n.is_alive() && n.services().data)
+                .map(|n| n.id())
+                .collect();
+            let any_dead = cluster.nodes().iter().any(|n| !n.is_alive());
+            if any_dead || alive.len() < 3 {
+                rec.event("kill skipped (cluster already degraded)", false);
+            } else {
+                let victim =
+                    alive[(mix_all(&[seed, KILL_SALT, i as u64]) % alive.len() as u64) as usize];
+                if let Ok(node) = cluster.node(victim) {
+                    node.kill();
+                    rec.event(format!("kill node {}", victim.0), false);
+                }
+            }
+        }
+        TopoKind::FailoverDead => failover_dead(cluster, rec),
+        TopoKind::ReviveAll => {
+            for node in cluster.nodes() {
+                if !node.is_alive() {
+                    revive_clean(cluster, &node);
+                    rec.event(format!("revive node {} (rejoin protocol)", node.id().0), false);
+                }
+            }
+        }
+        TopoKind::AddNode => match cluster.add_node(ServiceSet::all()) {
+            Ok(id) => rec.event(format!("add node {}", id.0), false),
+            Err(e) => rec.event(format!("add node failed: {e}"), false),
+        },
+        TopoKind::Rebalance { .. } => {
+            let r = cluster.rebalance(&[]);
+            rec.event(format!("rebalance: {}", outcome_str(&r)), false);
+        }
     }
 }
 

@@ -16,14 +16,15 @@ use crate::config::{ClusterConfig, ServiceSet};
 use crate::lag::ReplicationLagTable;
 use crate::map::ClusterMap;
 use crate::node::Node;
-use crate::replication::{PumpTopology, ReplicationPump, TopologyFn};
+use crate::replication::{Pump, PumpTopology, ReplicationPump, TopologyFn};
 
-/// A bucket's running pump plus its lock-free lag table. The table is
-/// shared out (`Arc`) to stats/catalog readers; the pump thread is the
-/// table's single writer.
+/// A bucket's pump thread plus its lock-free lag table. The table is
+/// shared out (`Arc`) to stats/catalog readers; the pump is the table's
+/// single writer.
 struct PumpEntry {
-    /// Held for its `Drop`: removing the entry stops the pump thread.
-    _pump: ReplicationPump,
+    /// The pump thread, `None` while a caller steps the pump itself. Held
+    /// for its `Drop`: removing the entry stops the thread.
+    _thread: Option<ReplicationPump>,
     lag: Arc<ReplicationLagTable>,
 }
 
@@ -171,6 +172,18 @@ impl Cluster {
     /// Create a bucket across all data nodes, compute its initial balanced
     /// map, activate vBuckets, and start its replication/index pump.
     pub fn create_bucket(&self, bucket: &str) -> Result<()> {
+        let thread = ReplicationPump::spawn(self.create_bucket_stepped(bucket)?);
+        if let Some(entry) = self.pumps.lock().get_mut(bucket) {
+            entry._thread = Some(thread);
+        }
+        Ok(())
+    }
+
+    /// [`Cluster::create_bucket`] without the pump thread: the bucket's
+    /// replication and index feed move only when the caller runs
+    /// [`Pump::cycle`] on the returned pump (deterministic stepping for
+    /// chaos measure mode).
+    pub fn create_bucket_stepped(&self, bucket: &str) -> Result<Pump> {
         if self.inner.maps.read().contains_key(bucket) {
             return Err(Error::Cluster(format!("bucket {bucket} already exists")));
         }
@@ -195,7 +208,7 @@ impl Cluster {
             }
         }
         self.inner.maps.write().insert(bucket.to_string(), map);
-        // Start the DCP pump (replication + GSI feed) for this bucket.
+        // Build the DCP pump (replication + GSI feed) for this bucket.
         let inner = Arc::clone(&self.inner);
         let bucket_name = bucket.to_string();
         let topo: TopologyFn = Box::new(move || topology_snapshot(&inner, &bucket_name));
@@ -204,14 +217,14 @@ impl Cluster {
             self.inner.cfg.num_vbuckets,
             self.inner.cfg.num_replicas as usize,
         ));
-        // Prime the table with the creation topology before the pump thread
-        // (its single writer from here on) starts: stats and the
+        // Prime the table with the creation topology before the pump (its
+        // single writer from here on) first cycles: stats and the
         // `system:replication` catalog read rows the instant the bucket
         // exists instead of racing the pump's first cycle.
         lag.observe(&topology_snapshot(&self.inner, bucket));
-        let pump = ReplicationPump::spawn(bucket.to_string(), topo, Arc::clone(&lag));
-        self.pumps.lock().insert(bucket.to_string(), PumpEntry { _pump: pump, lag });
-        Ok(())
+        let pump = Pump::new(bucket, topo, Arc::clone(&lag));
+        self.pumps.lock().insert(bucket.to_string(), PumpEntry { _thread: None, lag });
+        Ok(pump)
     }
 
     // ------------------------------------------------------------------

@@ -26,7 +26,12 @@ pub enum FaultAction {
     /// the replication protocol recovers — same contract as TCP reconnect
     /// in the real system).
     Drop,
-    /// Deliver after sleeping this long (network delay / slow receiver).
+    /// Deliver late (network delay / slow receiver). The pump never
+    /// sleeps: it holds this destination's tail, in order, for ⌈delay /
+    /// [`IDLE_SLEEP`]⌉ cycles while other destinations keep flowing. A
+    /// stream rebuild discards the hold; the rebuilt stream redelivers.
+    ///
+    /// [`IDLE_SLEEP`]: crate::replication::IDLE_SLEEP
     Delay(Duration),
     /// Deliver the message twice (at-least-once duplication; exercises
     /// `apply_replica` idempotency).

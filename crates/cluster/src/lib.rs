@@ -54,5 +54,6 @@ pub use lag::{ReplicationLagRow, ReplicationLagTable, StalenessRow, LAG_WINDOW_C
 pub use map::ClusterMap;
 pub use node::Node;
 pub use query::ClusterDatastore;
+pub use replication::Pump;
 pub use stats::{BucketStats, ClusterStats, NodeStats};
 pub use txnlog::{TxnLog, TxnLogRow, TxnState};

@@ -10,17 +10,18 @@
 //!
 //! Rotation is driven by [`WindowedHistogram::advance_to`] with a caller-
 //! supplied logical epoch — the replication pump passes its cycle counter,
-//! the chaos measure mode passes the history recorder's logical clock.
+//! the chaos measure mode passes its workload op count.
 //! Nothing in this module reads the wall clock, so seeded chaos runs stay
 //! byte-for-byte deterministic (the `chaos-determinism` lint relies on
 //! this).
 //!
 //! Concurrency contract: any number of threads may call `record_nanos`;
-//! **exactly one** driver thread calls `advance_to` (the pump loop, or the
-//! single-threaded measure loop). Snapshots may race a rotation; a sample
-//! recorded exactly at a window boundary may land in either adjacent
-//! window or be dropped, never double-counted into the same snapshot twice
-//! (pinned by the mini-loom model in `tests/window_models.rs`).
+//! **exactly one** thread calls `advance_to` (whichever thread steps the
+//! pump, or the single-threaded measure loop). Snapshots may race a
+//! rotation; a sample recorded exactly at a window boundary may land in
+//! either adjacent window or be dropped, never double-counted into the
+//! same snapshot twice (pinned by the mini-loom model in
+//! `tests/window_models.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

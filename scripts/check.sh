@@ -5,7 +5,7 @@
 #   scripts/check.sh --quick         # static analysis + concurrency models only
 #   scripts/check.sh chaos-smoke     # fixed-seed chaos smoke run only (<10s)
 #   scripts/check.sh plancache-smoke # prepared-statement fast path only (<10s)
-#   scripts/check.sh staleness-smoke # measure-mode staleness replay only (<30s)
+#   scripts/check.sh staleness-smoke # staleness replay on the stepped real pump (<30s)
 #   scripts/check.sh txn-smoke       # serializability replay + txn chaos (<15s)
 #   scripts/check.sh trace-smoke     # stitched causal trace + Chrome export (<60s)
 #
@@ -76,9 +76,10 @@ txn_smoke() {
     cargo test --quiet --test chaos_txn txn_chaos_smoke -- --exact
 }
 
-# Staleness smoke: replay the seeded fault plans in chaos measure mode
-# and require populated BENCH_staleness_*.json artifacts whose bytes are
-# stable across a replay — same seed, same file, bit for bit.
+# Staleness smoke: chaos measure mode replays the seeded fault plans on
+# real clusters whose DCP pump it steps itself, and must write populated
+# BENCH_staleness_*.json artifacts whose bytes are stable across a replay
+# in a second process — same seed, same file, bit for bit.
 staleness_smoke() {
     local out snap
     out="$(CHAOS_RUNS=16 cargo run --quiet -p cbs-bench --bin staleness 2>/dev/null)" || return 1
@@ -167,7 +168,7 @@ if [ "${1:-}" = "txn-smoke" ]; then
 fi
 
 if [ "${1:-}" = "staleness-smoke" ]; then
-    run "staleness smoke (measure-mode replay)" staleness_smoke
+    run "staleness smoke (real pump, stepped replay)" staleness_smoke
     if [ "$FAILED" -ne 0 ]; then
         echo "check.sh staleness-smoke: FAILED"
         exit 1
@@ -242,7 +243,7 @@ obs_profile_smoke() {
 }
 run "obs-profile smoke (PROFILE + request log)" obs_profile_smoke
 run "trace smoke (stitched causal trace + export)" trace_smoke
-run "staleness smoke (measure-mode replay)" staleness_smoke
+run "staleness smoke (real pump, stepped replay)" staleness_smoke
 
 # --- best-effort dynamic analysis -----------------------------------------
 # ThreadSanitizer needs nightly + rust-src (to build an instrumented std);
