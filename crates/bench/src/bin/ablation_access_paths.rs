@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use cbs_bench::{env_u64, print_header, small_cluster};
 use cbs_core::{QueryOptions, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::Histogram;
 
 fn main() {
     let n = env_u64("CBS_RECORDS", 5_000);
@@ -41,10 +41,10 @@ fn main() {
     println!("Ablation A3: access-path latency hierarchy ({n} docs, {reps} reps each)");
     print_header("access paths", &["path", "mean", "p95"]);
 
-    let mut rows: Vec<(&str, LatencyHistogram)> = Vec::new();
+    let mut rows: Vec<(&str, Histogram)> = Vec::new();
 
     // 1. Raw KV get.
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let key = format!("doc{:08}", i % n);
         let t = Instant::now();
@@ -54,7 +54,7 @@ fn main() {
     rows.push(("kv get", h));
 
     // 2. N1QL USE KEYS.
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let key = format!("doc{:08}", i % n);
         let t = Instant::now();
@@ -66,7 +66,7 @@ fn main() {
     rows.push(("N1QL USE KEYS", h));
 
     // 3. Covering index scan (only `age` + meta().id needed).
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let age = i % 80;
         let t = Instant::now();
@@ -78,7 +78,7 @@ fn main() {
     rows.push(("IndexScan (covering)", h));
 
     // 4. Non-covering index scan (`name` forces a Fetch per row, §4.5.1).
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let age = i % 80;
         let t = Instant::now();
@@ -90,7 +90,7 @@ fn main() {
     rows.push(("IndexScan + Fetch", h));
 
     // 5. PrimaryScan (predicate no index can serve).
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for _ in 0..reps.min(50) {
         let t = Instant::now();
         cluster.query("SELECT name FROM default WHERE name = 'u17'", &opts).expect("primary scan");
@@ -99,7 +99,9 @@ fn main() {
     rows.push(("PrimaryScan (full)", h));
 
     for (name, h) in &rows {
-        println!("{name}\t{:?}\t{:?}", h.mean(), h.percentile(95.0));
+        let s = h.snapshot();
+        let (mean, p95) = (s.mean().unwrap_or_default(), s.percentile(95.0).unwrap_or_default());
+        println!("{name}\t{mean:?}\t{p95:?}");
     }
 
     // Linear-growth check for PrimaryScan (§4.5.3).

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use cbs_bench::{env_u64, print_header, small_cluster};
 use cbs_core::{Durability, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::Histogram;
 
 fn main() {
     let writes = env_u64("CBS_OPS", 2_000);
@@ -37,7 +37,7 @@ fn main() {
 
     let mut means = Vec::new();
     for (name, durability) in configs {
-        let mut hist = LatencyHistogram::new();
+        let hist = Histogram::new();
         for i in 0..writes {
             let key = format!("dur-{name}-{i}");
             let value = Value::object([("i", Value::from(i))]);
@@ -54,14 +54,15 @@ fn main() {
             }
             hist.record(start.elapsed());
         }
+        let hist = hist.snapshot();
+        let mean = hist.mean().unwrap_or_default();
         println!(
-            "{name}\t{:?}\t{:?}\t{:?}\t{:?}",
-            hist.mean(),
-            hist.percentile(50.0),
-            hist.percentile(95.0),
-            hist.percentile(99.0)
+            "{name}\t{mean:?}\t{:?}\t{:?}\t{:?}",
+            hist.percentile(50.0).unwrap_or_default(),
+            hist.percentile(95.0).unwrap_or_default(),
+            hist.percentile(99.0).unwrap_or_default()
         );
-        means.push((name, hist.mean()));
+        means.push((name, mean));
     }
     println!(
         "\nshape: memory ack ({:?}) < replicate ({:?}) < persist ({:?}) — matching §2.3.2",

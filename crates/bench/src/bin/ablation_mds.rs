@@ -16,9 +16,9 @@ use std::time::Instant;
 
 use cbs_bench::{env_u64, print_header};
 use cbs_core::{ClusterConfig, CouchbaseCluster, QueryOptions, ServiceSet, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::{Histogram, HistogramSnapshot};
 
-fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, LatencyHistogram) {
+fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, HistogramSnapshot) {
     let cluster = CouchbaseCluster::with_services(services, ClusterConfig::for_test(128, 0));
     cluster.create_bucket("default").expect("bucket");
     let bucket = cluster.bucket("default").expect("handle");
@@ -44,7 +44,7 @@ fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, 
     }
 
     // Foreground KV workload.
-    let mut hist = LatencyHistogram::new();
+    let hist = Histogram::new();
     for i in 0..kv_ops {
         let key = format!("d{}", i % 5_000);
         let t = Instant::now();
@@ -55,7 +55,7 @@ fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, 
     for q in queriers {
         let _ = q.join();
     }
-    (name.to_string(), hist)
+    (name.to_string(), hist.snapshot())
 }
 
 fn main() {
@@ -79,9 +79,9 @@ fn main() {
     for (name, hist) in &results {
         println!(
             "{name}\t{:?}\t{:?}\t{:?}",
-            hist.mean(),
-            hist.percentile(95.0),
-            hist.percentile(99.0)
+            hist.mean().unwrap_or_default(),
+            hist.percentile(95.0).unwrap_or_default(),
+            hist.percentile(99.0).unwrap_or_default()
         );
     }
     println!("\nshape: separating services isolates the KV front-end from query load (§4.4, §2.2)");

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use cbs_bench::{env_u64, print_header, small_cluster};
 use cbs_core::{QueryOptions, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::Histogram;
 
 fn main() {
     let queries = env_u64("CBS_OPS", 300);
@@ -56,20 +56,21 @@ fn main() {
         ("not_bounded", QueryOptions::default()),
         ("request_plus", QueryOptions::default().request_plus()),
     ] {
-        let mut hist = LatencyHistogram::new();
+        let hist = Histogram::new();
         for _ in 0..queries {
             let start = Instant::now();
             cluster.query(statement, &opts).expect("query");
             hist.record(start.elapsed());
         }
+        let hist = hist.snapshot();
+        let mean = hist.mean().unwrap_or_default();
         println!(
-            "{name}\t{:?}\t{:?}\t{:?}\t{:?}",
-            hist.mean(),
-            hist.percentile(50.0),
-            hist.percentile(95.0),
-            hist.percentile(99.0)
+            "{name}\t{mean:?}\t{:?}\t{:?}\t{:?}",
+            hist.percentile(50.0).unwrap_or_default(),
+            hist.percentile(95.0).unwrap_or_default(),
+            hist.percentile(99.0).unwrap_or_default()
         );
-        results.push((name, hist.mean()));
+        results.push((name, mean));
     }
     stop.store(true, Ordering::Relaxed);
     let writes = writer.join().expect("writer");

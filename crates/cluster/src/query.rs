@@ -218,12 +218,12 @@ impl Datastore for ClusterDatastore {
         mgr.build(keyspace, name, &source)
     }
 
-    fn request_log(&self) -> Option<&cbs_n1ql::RequestLog> {
-        Some(self.cluster.request_log())
+    fn request_log(&self) -> &cbs_n1ql::RequestLog {
+        self.cluster.request_log()
     }
 
-    fn plan_cache(&self) -> Option<&cbs_n1ql::PlanCache> {
-        Some(self.cluster.plan_cache())
+    fn plan_cache(&self) -> &cbs_n1ql::PlanCache {
+        self.cluster.plan_cache()
     }
 
     /// Optimizer statistics, derived from the index service: each online
@@ -257,14 +257,11 @@ impl Datastore for ClusterDatastore {
         })
     }
 
-    /// The `system:` catalog keyspaces ([`cbs_n1ql::SYSTEM_KEYSPACES`]),
+    /// The cluster-owned `system:` catalogs ([`cbs_n1ql::SYSTEM_KEYSPACES`]),
     /// backed live by cluster state — the Query Catalog of §4.3.5 exposed
     /// through N1QL itself.
-    fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
+    fn system_catalog(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
         match keyspace {
-            "system:completed_requests" => Ok(self.cluster.request_log().completed_rows()),
-            "system:active_requests" => Ok(self.cluster.request_log().active_rows()),
-            "system:prepareds" => Ok(self.cluster.plan_cache().prepared_rows()),
             "system:transactions" => Ok(self.cluster.txn_log().catalog_rows()),
             "system:indexes" => {
                 // Every definition on every index-service node, deduped by
@@ -441,7 +438,7 @@ impl Datastore for ClusterDatastore {
                     .collect();
                 Ok(rows)
             }
-            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
+            _ => Ok(Vec::new()),
         }
     }
 }

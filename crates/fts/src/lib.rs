@@ -24,4 +24,4 @@ pub mod service;
 
 pub use analyzer::tokenize;
 pub use index::{InvertedIndex, SearchHit, SearchQuery};
-pub use service::{FtsFeed, FtsIndexDef, FtsService};
+pub use service::{FtsIndexDef, FtsService};

@@ -6,12 +6,11 @@
 //! at-least-this-seqno consistency a `request_plus` N1QL query gets.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_common::{Error, Result, SeqNo};
 use cbs_dcp::DcpItem;
 use cbs_json::JsonPath;
 use cbs_obs::{span, Counter, Histogram, Registry};
@@ -216,70 +215,10 @@ impl FtsService {
     }
 }
 
-/// Background pump wiring a data engine's DCP into an [`FtsService`] —
-/// "another type of service [...] that will receive data mutations via
-/// in-memory DCP" (§6.1.3).
-pub struct FtsFeed {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FtsFeed {
-    /// Stream every vBucket of `engine` from seqno 0 into `service`.
-    pub fn spawn(
-        service: Arc<FtsService>,
-        keyspace: String,
-        engine: Arc<cbs_kv::DataEngine>,
-    ) -> Result<FtsFeed> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let n = service.num_vbuckets;
-        let mut streams = Vec::with_capacity(n as usize);
-        for vb in 0..n {
-            streams.push(engine.open_dcp_stream(VbId(vb), SeqNo::ZERO)?);
-        }
-        let handle = std::thread::Builder::new()
-            .name(format!("fts-feed-{keyspace}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let mut any = false;
-                    for stream in streams.iter_mut() {
-                        for item in stream.drain_available() {
-                            service.apply_dcp(&keyspace, &item);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .expect("spawn fts feed");
-        Ok(FtsFeed { stop, handle: Some(handle) })
-    }
-
-    /// Stop the feed.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for FtsFeed {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_common::{Cas, DocMeta};
+    use cbs_common::{Cas, DocMeta, VbId};
     use cbs_json::Value;
     use cbs_kv::{DataEngine, EngineConfig, MutateMode};
 
@@ -424,14 +363,17 @@ mod tests {
                 0,
             )
             .unwrap();
-        let svc = Arc::new(FtsService::new(8));
+        let svc = FtsService::new(8);
         svc.create_index(FtsIndexDef {
             name: "s".to_string(),
             keyspace: "b".to_string(),
             fields: None,
         })
         .unwrap();
-        let feed = FtsFeed::spawn(Arc::clone(&svc), "b".to_string(), Arc::clone(&engine)).unwrap();
+        // The feed: one DCP stream per vBucket from seqno 0 (backfill, then
+        // the live tail), drained into the service.
+        let mut streams: Vec<_> =
+            (0..8).map(|vb| engine.open_dcp_stream(VbId(vb), SeqNo::ZERO).unwrap()).collect();
         // Live write after feed start.
         engine
             .set(
@@ -442,6 +384,11 @@ mod tests {
                 0,
             )
             .unwrap();
+        for stream in &mut streams {
+            for item in stream.drain_available() {
+                svc.apply_dcp("b", &item);
+            }
+        }
         // Consistency-gated search sees both (backfill + tail).
         let target = engine.seqno_vector();
         let hits = svc
@@ -455,7 +402,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(hits.len(), 2);
-        feed.shutdown();
         let _ = Value::Null;
     }
 }

@@ -38,4 +38,4 @@ pub use defs::{
 };
 pub use indexer::{IndexCardinality, IndexEntry, Indexer, IndexerStats};
 pub use projector::{ProjectedOp, Projector, Router};
-pub use service::{IndexFeed, IndexManager, IndexState};
+pub use service::{IndexManager, IndexState};

@@ -1,4 +1,4 @@
-//! The Index Manager and the DCP feed pump.
+//! The Index Manager: DDL, builds, DCP apply and consistent scans.
 //!
 //! "The Index Manager resides within the indexing service and is
 //! responsible for receiving requests for indexing operations (e.g.,
@@ -6,7 +6,6 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -341,67 +340,6 @@ fn merge_sorted(mut partials: Vec<Vec<IndexEntry>>) -> Vec<IndexEntry> {
     }
 }
 
-/// Background pump: subscribes an [`IndexManager`] to a data engine's DCP
-/// hub and applies the stream continuously — the arrow from the Data
-/// Service to the Index Service in Figure 9.
-pub struct IndexFeed {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl IndexFeed {
-    /// Open streams from seqno 0 on every vBucket of `engine` and pump them
-    /// into `manager` under `keyspace`.
-    pub fn spawn(
-        manager: Arc<IndexManager>,
-        keyspace: String,
-        engine: Arc<cbs_kv::DataEngine>,
-    ) -> Result<IndexFeed> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let n = manager.num_vbuckets;
-        let mut streams = Vec::with_capacity(n as usize);
-        for vb in 0..n {
-            streams.push(engine.open_dcp_stream(VbId(vb), SeqNo::ZERO)?);
-        }
-        let handle = std::thread::Builder::new()
-            .name(format!("gsi-feed-{keyspace}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let mut any = false;
-                    for stream in streams.iter_mut() {
-                        for item in stream.drain_available() {
-                            manager.apply_dcp(&keyspace, &item);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .expect("spawn index feed");
-        Ok(IndexFeed { stop, handle: Some(handle) })
-    }
-
-    /// Stop the pump.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for IndexFeed {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,12 +445,23 @@ mod tests {
     #[test]
     fn live_feed_maintains_index_and_request_plus_waits() {
         let e = engine();
-        let m = Arc::new(manager(16));
+        let m = manager(16);
         m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
-        let feed = IndexFeed::spawn(Arc::clone(&m), "b".to_string(), Arc::clone(&e)).unwrap();
+        // The live feed: one DCP stream per vBucket from seqno 0, drained
+        // into the manager the way the cluster's pump does it.
+        let mut streams: Vec<_> =
+            (0..16).map(|vb| e.open_dcp_stream(VbId(vb), SeqNo::ZERO).unwrap()).collect();
+        let mut pump = || {
+            for stream in &mut streams {
+                for item in stream.drain_available() {
+                    m.apply_dcp("b", &item);
+                }
+            }
+        };
 
         // Write after the index is online; the feed must pick it up.
         e.set("new", profile("n", 99), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        pump();
         let vector = e.seqno_vector();
         let rows = m
             .scan(
@@ -529,6 +478,7 @@ mod tests {
 
         // Delete flows through too.
         e.delete("new", Cas::WILDCARD).unwrap();
+        pump();
         let vector = e.seqno_vector();
         let rows = m
             .scan(
@@ -541,7 +491,6 @@ mod tests {
             )
             .unwrap();
         assert!(rows.is_empty());
-        feed.shutdown();
     }
 
     #[test]

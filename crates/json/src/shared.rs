@@ -27,11 +27,6 @@ impl SharedValue {
         SharedValue(Arc::new(value))
     }
 
-    /// The inner reference-counted allocation.
-    pub fn into_arc(self) -> Arc<Value> {
-        self.0
-    }
-
     /// Borrow the underlying value (equivalent to deref).
     pub fn as_value(&self) -> &Value {
         &self.0

@@ -25,8 +25,9 @@ use crate::types::{Document, EngineConfig, GetResult, MutateMode, MutationResult
 type DirtySnapshot = (VbId, Vec<Arc<str>>, HashMap<Arc<str>, TraceContext>);
 
 /// Per-vBucket mutable state, guarded by one mutex per vBucket. The mutex
-/// also serializes the write path (seqno assignment → cache → dirty queue →
-/// DCP publish), which is what guarantees seqno-ordered DCP delivery.
+/// also serializes the write path ([`DataEngine::commit`]: cache admission
+/// → seqno → dirty queue → DCP publish), which is what guarantees dense,
+/// seqno-ordered DCP delivery.
 struct VbMeta {
     state: VbState,
     /// GETL hard locks: key → (lock token, expiry instant). "This lock will
@@ -442,20 +443,14 @@ impl DataEngine {
                 return Err(Error::CasMismatch(key.to_string()));
             }
         }
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
         let new_meta =
-            DocMeta { seqno, cas: self.clock.next(), rev: prev_rev.next(), flags: 0, expiry };
-        self.cache.set(vb, key, new_meta, value.clone(), true)?;
-        self.enqueue_dirty_traced(vb, key, ctx);
-        meta.locks.remove(key);
-        let mut item = DcpItem::mutation(vb, key, new_meta, value);
-        item.trace = ctx;
-        self.hub.publish(&item);
-
+            DocMeta { cas: self.clock.next(), rev: prev_rev.next(), expiry, ..DocMeta::default() };
+        let item = DcpItem { trace: ctx, ..DcpItem::mutation(vb, key, new_meta, value) };
+        let new_meta = self.commit(&mut meta, item)?;
         drop(meta);
         self.stats.sets.inc();
         self.stats.set_latency.record(start.elapsed());
-        Ok(MutationResult { vb, seqno, cas: new_meta.cas })
+        Ok(MutationResult { vb, seqno: new_meta.seqno, cas: new_meta.cas })
     }
 
     /// Delete a document (CAS-checked like [`DataEngine::set`]).
@@ -477,18 +472,13 @@ impl DataEngine {
         if !cas_check.is_wildcard() && !via_lock_token && prev.cas != cas_check {
             return Err(Error::CasMismatch(key.to_string()));
         }
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
         let new_meta =
-            DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
-        self.cache.delete(vb, key, new_meta, true)?;
-        self.enqueue_dirty_traced(vb, key, ctx);
-        meta.locks.remove(key);
-        let mut item = DcpItem::deletion(vb, key, new_meta);
-        item.trace = ctx;
-        self.hub.publish(&item);
+            DocMeta { cas: self.clock.next(), rev: prev.rev.next(), ..DocMeta::default() };
+        let new_meta =
+            self.commit(&mut meta, DcpItem { trace: ctx, ..DcpItem::deletion(vb, key, new_meta) })?;
         drop(meta);
         self.stats.deletes.inc();
-        Ok(MutationResult { vb, seqno, cas: new_meta.cas })
+        Ok(MutationResult { vb, seqno: new_meta.seqno, cas: new_meta.cas })
     }
 
     /// Read and hard-lock a document ("an application can opt to request a
@@ -550,7 +540,7 @@ impl DataEngine {
     fn lazy_expire(&self, vb: VbId, key: &str, prev: DocMeta) {
         // Expiry is observed lazily on access; issue the tombstone under
         // the vb lock like any write.
-        let meta = self.vbs[vb.index()].lock();
+        let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
             return;
         }
@@ -559,21 +549,38 @@ impl DataEngine {
             Some((m, false)) if m.seqno == prev.seqno => {}
             _ => return,
         }
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
         let new_meta =
-            DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
-        if self.cache.delete(vb, key, new_meta, true).is_ok() {
-            self.enqueue_dirty(vb, key);
-            self.hub.publish(&DcpItem {
-                vb,
-                key: key.to_string(),
-                meta: new_meta,
-                kind: DcpKind::Expiration,
-                value: None,
-                trace: None,
-            });
+            DocMeta { cas: self.clock.next(), rev: prev.rev.next(), ..DocMeta::default() };
+        let item = DcpItem { kind: DcpKind::Expiration, ..DcpItem::deletion(vb, key, new_meta) };
+        if self.commit(&mut meta, item).is_ok() {
             self.stats.expirations.inc();
         }
+    }
+
+    /// The one active-side commit path: `set` (and so `touch` and the txn
+    /// drains), `delete`, lazy expiry and XDCR `set_with_meta` all end
+    /// here, with the vBucket lock held and their preconditions checked.
+    /// `item` is the change to publish, its seqno not yet set. The write
+    /// takes `high_seqno + 1` only once the cache has admitted it, so a
+    /// `TempOom` refusal leaves `high_seqno`, the disk queue and every DCP
+    /// stream as they were: the per-vBucket seqno sequence stays dense
+    /// (DESIGN.md decision 2). Returns the committed metadata.
+    fn commit(&self, vbmeta: &mut VbMeta, mut item: DcpItem) -> Result<DocMeta> {
+        let (vb, high) = (item.vb, &self.high_seqnos[item.vb.index()]);
+        item.meta.seqno = SeqNo(high.load(Ordering::SeqCst) + 1);
+        match &item.value {
+            Some(value) => self.cache.set(vb, &item.key, item.meta, value.clone(), true)?,
+            None => self.cache.delete(vb, &item.key, item.meta, true)?,
+        }
+        high.store(item.meta.seqno.0, Ordering::SeqCst);
+        self.enqueue_dirty(vb, &item.key, item.trace);
+        // Expiry is no client write: a GETL lock on the key runs out on
+        // its own timeout.
+        if item.kind != DcpKind::Expiration {
+            vbmeta.locks.remove(&item.key);
+        }
+        self.hub.publish(&item);
+        Ok(item.meta)
     }
 
     // ------------------------------------------------------------------
@@ -621,7 +628,7 @@ impl DataEngine {
             )?;
         }
         self.high_seqnos[vb.index()].fetch_max(item.meta.seqno.0, Ordering::SeqCst);
-        self.enqueue_dirty_traced(vb, &item.key, ctx);
+        self.enqueue_dirty(vb, &item.key, ctx);
         drop(meta);
         self.stats.replica_applies.inc();
         Ok(())
@@ -651,22 +658,17 @@ impl DataEngine {
         }
         // Apply: new local seqno, but preserve the origin's rev/cas so both
         // clusters converge to identical metadata.
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
-        let new_meta = DocMeta { seqno, ..incoming };
-        let value = value.unwrap_or_else(|| SharedValue::new(Value::Null));
-        if deleted {
-            self.cache.delete(vb, key, new_meta, true)?;
-        } else {
-            self.cache.set(vb, key, new_meta, value.clone(), true)?;
-        }
-        self.enqueue_dirty(vb, key);
-        vbmeta.locks.remove(key);
         let item = if deleted {
-            DcpItem::deletion(vb, key, new_meta)
+            DcpItem::deletion(vb, key, incoming)
         } else {
-            DcpItem::mutation(vb, key, new_meta, value)
+            DcpItem::mutation(
+                vb,
+                key,
+                incoming,
+                value.unwrap_or_else(|| SharedValue::new(Value::Null)),
+            )
         };
-        self.hub.publish(&item);
+        self.commit(&mut vbmeta, item)?;
         drop(vbmeta);
         self.stats.xdcr_applies.inc();
         Ok(true)
@@ -707,11 +709,7 @@ impl DataEngine {
         self.shards.len()
     }
 
-    fn enqueue_dirty(&self, vb: VbId, key: &str) {
-        self.enqueue_dirty_traced(vb, key, None);
-    }
-
-    fn enqueue_dirty_traced(&self, vb: VbId, key: &str, ctx: Option<TraceContext>) {
+    fn enqueue_dirty(&self, vb: VbId, key: &str, ctx: Option<TraceContext>) {
         let fresh = {
             let mut queue = self.dirty[vb.index()].lock();
             let fresh = queue.enqueue(key);

@@ -27,9 +27,6 @@ pub struct FlusherPool {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// The pre-pool name, kept so single-flusher call sites read naturally.
-pub type FlusherHandle = FlusherPool;
-
 impl FlusherPool {
     /// Spawn one thread per flusher shard of `engine`. Each thread drains
     /// its shard immediately when woken by a write and at least every

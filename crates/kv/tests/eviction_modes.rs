@@ -12,7 +12,7 @@ use std::time::Duration;
 use cbs_cache::EvictionPolicy;
 use cbs_common::Cas;
 use cbs_json::Value;
-use cbs_kv::{DataEngine, EngineConfig, FlusherHandle, MutateMode};
+use cbs_kv::{DataEngine, EngineConfig, FlusherPool, MutateMode};
 
 fn engine_with(policy: EvictionPolicy, quota: usize) -> Arc<DataEngine> {
     let mut cfg = EngineConfig::for_test(16);
@@ -31,7 +31,7 @@ fn big_doc(i: i64) -> Value {
 fn value_eviction_background_fetches_from_disk() {
     // Quota small enough that values must be evicted once clean.
     let engine = engine_with(EvictionPolicy::ValueOnly, 300_000);
-    let flusher = FlusherHandle::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
+    let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
     let n = 300i64;
     let mut written = 0;
     for i in 0..n {
@@ -74,7 +74,7 @@ fn value_eviction_background_fetches_from_disk() {
 #[test]
 fn full_eviction_still_serves_all_documents() {
     let engine = engine_with(EvictionPolicy::Full, 300_000);
-    let flusher = FlusherHandle::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
+    let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
     let n = 200i64;
     for i in 0..n {
         loop {
@@ -149,4 +149,64 @@ fn expiry_pager_reaps_without_access() {
     assert!(engine.get("short-lived").is_err());
     // Second sweep is a no-op.
     assert_eq!(engine.run_expiry_pager(), 0);
+}
+
+/// A write the cache refuses with `TempOom` must take no seqno. Each
+/// refusable active-side path (`set`, `delete`, XDCR `set_with_meta`) is
+/// driven into `TempOom` against a full-eviction cache whose items are all
+/// dirty (nothing flushed, so nothing can be evicted). After each refusal
+/// `high_seqno` is unchanged and the next accepted write gets `high + 1`;
+/// a DCP stream opened at 0 sees exactly `1..=n`.
+#[test]
+fn temp_oom_refusal_takes_no_seqno() {
+    use cbs_common::{DocMeta, Error, RevNo, SeqNo, VbId};
+    let mut cfg = EngineConfig::for_test(1);
+    cfg.eviction = EvictionPolicy::Full;
+    cfg.cache_quota = 1 << 10;
+    let engine = DataEngine::new(cfg).unwrap();
+    engine.activate_all();
+    let vb = VbId(0);
+    let mut stream = engine.open_dcp_stream(vb, SeqNo::ZERO).unwrap();
+    // Write short documents until the cache refuses one.
+    let mut next = 0i64;
+    let mut fill = |engine: &DataEngine| loop {
+        next += 1;
+        match engine.set(
+            &format!("k{next}"),
+            Value::int(next),
+            MutateMode::Upsert,
+            Cas::WILDCARD,
+            0,
+        ) {
+            Ok(_) => {}
+            Err(Error::TempOom) => return engine.high_seqno(vb),
+            Err(e) => panic!("unexpected: {e}"),
+        }
+    };
+    // A long key: its tombstone needs more room than a refused short set.
+    let long_key = "l".repeat(200);
+    type Write<'a> = &'a dyn Fn(&DataEngine) -> cbs_common::Result<()>;
+    let refusals: [(&str, Write); 3] = [
+        ("set", &|e| e.set("big", big_doc(0), MutateMode::Upsert, Cas::WILDCARD, 0).map(drop)),
+        ("delete", &|e| e.delete(&long_key, Cas::WILDCARD).map(drop)),
+        ("set_with_meta", &|e| {
+            let incoming = DocMeta { rev: RevNo(1), cas: Cas(1), ..DocMeta::default() };
+            e.set_with_meta("xdcr", incoming, Some(big_doc(1).into()), false).map(drop)
+        }),
+    ];
+    for (i, (path, refused)) in refusals.iter().enumerate() {
+        // Dirty, so pinned in the cache until the next flush.
+        engine.set(&long_key, Value::int(0), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let high = fill(&engine);
+        assert!(matches!(refused(&engine), Err(Error::TempOom)), "{path} must be refused");
+        assert_eq!(engine.high_seqno(vb), high, "a refused {path} took a seqno");
+        // Persisting makes the items clean, so the next write can evict.
+        engine.flush_once().unwrap();
+        let accepted = engine
+            .set(&format!("after{i}"), Value::int(0), MutateMode::Upsert, Cas::WILDCARD, 0)
+            .unwrap();
+        assert_eq!(accepted.seqno, high.next(), "first write after a refused {path}");
+    }
+    let seqnos: Vec<u64> = stream.drain_available().iter().map(|i| i.meta.seqno.0).collect();
+    assert_eq!(seqnos, (1..=engine.high_seqno(vb).0).collect::<Vec<_>>());
 }

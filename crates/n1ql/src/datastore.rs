@@ -76,24 +76,33 @@ pub trait Datastore: Send + Sync {
     fn build_index(&self, keyspace: &str, name: &str) -> Result<()>;
 
     /// Scan one of the [`SYSTEM_KEYSPACES`] catalogs, returning
-    /// `(key, document)` rows backed live by service state. Datastores
-    /// without introspection reject all of them.
+    /// `(key, document)` rows backed live by service state. The query
+    /// service answers its own catalogs (requests, prepareds) here and
+    /// asks [`Datastore::system_catalog`] for the rest; any other
+    /// `system:` name is rejected.
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        Err(Error::Plan(format!("no such keyspace: {keyspace}")))
+        match keyspace {
+            "system:completed_requests" => Ok(self.request_log().completed_rows()),
+            "system:active_requests" => Ok(self.request_log().active_rows()),
+            "system:prepareds" => Ok(self.plan_cache().prepared_rows()),
+            known if SYSTEM_KEYSPACES.contains(&known) => self.system_catalog(known),
+            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
+        }
     }
 
-    /// The query service's request log, when this datastore has one. The
-    /// query pipeline admits/retires every request through it, feeding
-    /// `system:completed_requests` and `system:active_requests`.
-    fn request_log(&self) -> Option<&RequestLog> {
-        None
-    }
+    /// Rows of a [`SYSTEM_KEYSPACES`] catalog whose state this datastore
+    /// owns (indexes, keyspaces, nodes, replication, ...). A catalog it
+    /// has no service for has no rows.
+    fn system_catalog(&self, keyspace: &str) -> Result<Vec<(String, Value)>>;
 
-    /// The plan cache + prepared-statement registry, when this datastore
-    /// has one. `None` disables plan caching and PREPARE/EXECUTE.
-    fn plan_cache(&self) -> Option<&PlanCache> {
-        None
-    }
+    /// The query service's request log. The query pipeline admits/retires
+    /// every request through it, feeding `system:completed_requests` and
+    /// `system:active_requests`.
+    fn request_log(&self) -> &RequestLog;
+
+    /// The plan cache + prepared-statement registry (plan caching and
+    /// PREPARE/EXECUTE).
+    fn plan_cache(&self) -> &PlanCache;
 
     /// Keyspace statistics for the cost-based planner (doc counts, per-
     /// index cardinality). `None` means unavailable — the planner falls
@@ -103,10 +112,9 @@ pub trait Datastore: Send + Sync {
     }
 }
 
-/// Every `system:` catalog keyspace, declared once. A datastore with
-/// introspection answers each of these names from
-/// [`Datastore::system_scan`] (with no rows where it has no such service)
-/// and rejects any other `system:` name.
+/// Every `system:` catalog keyspace, declared once. [`Datastore::system_scan`]
+/// answers each of these names (with no rows where the datastore has no
+/// such service) and rejects any other `system:` name.
 pub const SYSTEM_KEYSPACES: &[&str] = &[
     "system:active_requests",
     "system:completed_requests",
@@ -355,8 +363,8 @@ impl Datastore for MemoryDatastore {
         Err(Error::Index(format!("no such index: {name}")))
     }
 
-    fn plan_cache(&self) -> Option<&PlanCache> {
-        Some(&self.plan_cache)
+    fn plan_cache(&self) -> &PlanCache {
+        &self.plan_cache
     }
 
     fn keyspace_stats(&self, keyspace: &str) -> Option<Arc<KeyspaceStats>> {
@@ -410,11 +418,8 @@ impl Datastore for MemoryDatastore {
         })
     }
 
-    fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
+    fn system_catalog(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
         match keyspace {
-            "system:completed_requests" => Ok(self.request_log.completed_rows()),
-            "system:active_requests" => Ok(self.request_log.active_rows()),
-            "system:prepareds" => Ok(self.plan_cache.prepared_rows()),
             "system:indexes" => {
                 let map = self.keyspaces.read();
                 let mut rows = Vec::new();
@@ -460,13 +465,12 @@ impl Datastore for MemoryDatastore {
             // No replication, transactions, trace store or flight
             // recorder in a single-node memory datastore: those catalogs
             // exist (queries don't error) but have no rows.
-            known if SYSTEM_KEYSPACES.contains(&known) => Ok(Vec::new()),
-            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
+            _ => Ok(Vec::new()),
         }
     }
 
-    fn request_log(&self) -> Option<&RequestLog> {
-        Some(&self.request_log)
+    fn request_log(&self) -> &RequestLog {
+        &self.request_log
     }
 }
 

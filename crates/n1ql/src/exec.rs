@@ -970,9 +970,7 @@ fn exec_direct_inner(
 /// DDL changed the index topology: invalidate every cached plan that
 /// depends on this keyspace (and force a statistics recollect).
 fn bump_plan_epoch(ds: &dyn Datastore, keyspace: &str) {
-    if let Some(cache) = ds.plan_cache() {
-        cache.bump_epoch(keyspace);
-    }
+    ds.plan_cache().bump_epoch(keyspace);
 }
 
 fn dml_ctx(doc: &Value, alias: &str, key: &str) -> (Value, HashMap<String, String>) {

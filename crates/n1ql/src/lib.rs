@@ -83,25 +83,23 @@ use profile::PhaseTimes as Phases;
 /// planning entirely.
 pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<QueryResult> {
     let log = ds.request_log();
-    let req_id = log.map(|l| l.admit(statement, opts.client_context_id.as_deref().unwrap_or("")));
+    let req_id = log.admit(statement, opts.client_context_id.as_deref().unwrap_or(""));
     let cap = cbs_obs::capture("n1ql.query.execute");
     let outcome = run_request(ds, statement, opts);
     let phases = cap.finish(Phases::from_spans);
     match outcome {
         Ok((mut result, plan_summary, profiled)) => {
             result.phases = phases;
-            if let (Some(log), Some(id)) = (log, req_id) {
-                log.complete(
-                    id,
-                    &plan_summary,
-                    result.metrics.result_count as u64,
-                    0,
-                    result.metrics.mutation_count as u64,
-                    phases,
-                    false,
-                    opts.slow_threshold,
-                );
-            }
+            log.complete(
+                req_id,
+                &plan_summary,
+                result.metrics.result_count as u64,
+                0,
+                result.metrics.mutation_count as u64,
+                phases,
+                false,
+                opts.slow_threshold,
+            );
             if let Some((plan, prof)) = profiled {
                 // PROFILE returns one row: the annotated plan. The metrics
                 // keep describing the *inner* execution (result_count is
@@ -112,9 +110,7 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
             Ok(result)
         }
         Err(e) => {
-            if let (Some(log), Some(id)) = (log, req_id) {
-                log.complete(id, "", 0, 1, 0, phases, true, opts.slow_threshold);
-            }
+            log.complete(req_id, "", 0, 1, 0, phases, true, opts.slow_threshold);
             Err(e)
         }
     }
@@ -212,16 +208,14 @@ fn run_request(
     }
     // Ad-hoc SELECTs consult the plan cache by full statement text.
     if strip_keyword(statement, "select").is_some() {
-        if let Some(cache) = ds.plan_cache() {
-            if let Some(plan) = cache.lookup(statement) {
-                let summary = explain::plan_summary(&plan);
-                return Ok((execute(ds, &plan, opts)?, summary, None));
-            }
+        if let Some(plan) = ds.plan_cache().lookup(statement) {
+            let summary = explain::plan_summary(&plan);
+            return Ok((execute(ds, &plan, opts)?, summary, None));
         }
     }
     // Epochs are snapshotted before parse/plan so a DDL landing while
     // the plan is under construction invalidates it (cache.rs).
-    let epochs_at_plan = ds.plan_cache().map(|c| c.epoch_snapshot());
+    let epochs_at_plan = ds.plan_cache().epoch_snapshot();
     let stmt = {
         let _s = cbs_obs::span("n1ql.query.parse");
         parse_statement(statement)?
@@ -250,9 +244,7 @@ fn run_request(
         let _s = cbs_obs::span("n1ql.query.plan");
         build_plan(ds, &stmt, opts)?
     });
-    if let (Some(cache), Some(at_plan)) = (ds.plan_cache(), epochs_at_plan.as_ref()) {
-        insert_if_cacheable(cache, statement, &plan, at_plan);
-    }
+    insert_if_cacheable(ds.plan_cache(), statement, &plan, &epochs_at_plan);
     let summary = explain::plan_summary(&plan);
     Ok((execute(ds, &plan, opts)?, summary, None))
 }
@@ -263,9 +255,7 @@ fn run_execute(
     name: &str,
     opts: &QueryOptions,
 ) -> Result<(QueryResult, String, Option<(QueryPlan, Prof)>)> {
-    let cache = ds
-        .plan_cache()
-        .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
+    let cache = ds.plan_cache();
     let prepared = cache
         .get_prepared(name)
         .ok_or_else(|| Error::Plan(format!("no such prepared statement: {name}")))?;
@@ -301,9 +291,7 @@ fn run_prepare(
     inner_text: &str,
     opts: &QueryOptions,
 ) -> Result<(QueryResult, String, Option<(QueryPlan, Prof)>)> {
-    let cache = ds
-        .plan_cache()
-        .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
+    let cache = ds.plan_cache();
     let at_plan = cache.epoch_snapshot();
     let stmt = {
         let _s = cbs_obs::span("n1ql.query.parse");

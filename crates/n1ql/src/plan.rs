@@ -99,18 +99,6 @@ pub enum AccessPath {
     ExpressionOnly,
 }
 
-impl AccessPath {
-    /// Operator name as shown by EXPLAIN (matching Couchbase's spelling).
-    pub fn operator_name(&self) -> &'static str {
-        match self {
-            AccessPath::KeyScan { .. } => "KeyScan",
-            AccessPath::IndexScan { .. } => "IndexScan",
-            AccessPath::PrimaryScan => "PrimaryScan",
-            AccessPath::ExpressionOnly => "DummyScan",
-        }
-    }
-}
-
 /// A planned SELECT.
 #[derive(Debug, Clone)]
 pub struct SelectPlan {

@@ -256,11 +256,6 @@ impl VBucketStore {
         Ok(out)
     }
 
-    /// All live documents (for view/index initial builds and tests).
-    pub fn scan_live(&self) -> Result<Vec<StoredDoc>> {
-        Ok(self.changes_since(SeqNo::ZERO)?.into_iter().filter(|d| !d.deleted).collect())
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();

@@ -18,10 +18,8 @@
 
 pub mod generators;
 pub mod runner;
-pub mod stats;
 pub mod workload;
 
 pub use generators::{Generator, LatestGen, ScrambledZipfianGen, UniformGen, ZipfianGen};
 pub use runner::{run_workload, LoadPhase, RunSummary};
-pub use stats::{HistogramSnapshot, LatencyHistogram};
 pub use workload::{OpKind, Workload, WorkloadSpec};

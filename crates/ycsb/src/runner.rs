@@ -9,11 +9,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbs_core::{CouchbaseCluster, QueryOptions, Result, Value};
+use cbs_obs::{Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::generators::key_for;
-use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::workload::{OpKind, Workload, WorkloadSpec};
 
 /// Load-phase handle (kept for symmetry/explicitness in benches).
@@ -154,8 +154,8 @@ pub fn run_workload(
                 let bucket = cluster.bucket(bucket_name)?;
                 let mut workload = Workload::new(&spec);
                 let mut rng = StdRng::seed_from_u64(0xBEEF + t as u64);
-                let mut hist = LatencyHistogram::new();
-                let mut per_op: Vec<(OpKind, LatencyHistogram)> = Vec::new();
+                let hist = Histogram::new();
+                let mut per_op: Vec<(OpKind, Histogram)> = Vec::new();
                 let mut errors = 0u64;
                 for _ in 0..ops_per_thread {
                     let kind = workload.next_op(&mut rng);
@@ -208,7 +208,7 @@ pub fn run_workload(
                     match per_op.iter_mut().find(|(k, _)| *k == kind) {
                         Some((_, h)) => h.record(elapsed),
                         None => {
-                            let mut h = LatencyHistogram::new();
+                            let h = Histogram::new();
                             h.record(elapsed);
                             per_op.push((kind, h));
                         }
